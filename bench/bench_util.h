@@ -25,7 +25,7 @@ namespace dq::bench {
 // Hardware provenance.  Perf baselines are only comparable when they were
 // captured on the same hardware; every dq.bench.v1 envelope therefore
 // carries a "host" block, and `baseline_comparable` says whether the
-// checked-in baseline at the same path was captured on this host (false =
+// checked-in baseline of the same bench was captured on this host (false =
 // the absolute numbers explain a drift like ROADMAP's 18.7M vs the current
 // BENCH_sim_throughput.json, not a regression).
 // ---------------------------------------------------------------------------
@@ -70,18 +70,20 @@ inline std::string host_escape(const std::string& s) {
   return out;
 }
 
-// Does the existing baseline at `path` (about to be replaced) carry a host
-// block matching this machine?  A missing file or a pre-provenance envelope
-// has nothing to drift from and counts as comparable.
-inline bool baseline_comparable(const std::string& path, const HostInfo& h) {
+// Was the checked-in baseline of bench `name` (BENCH_<name>.json at the
+// repo root, wherever this run writes its own output) captured on this
+// host?  No checked-in baseline, or one without a host block, means there
+// is nothing this run is known to be comparable with.
+inline bool baseline_comparable(const std::string& name, const HostInfo& h) {
+  const std::string path =
+      std::string(DQ_REPO_ROOT) + "/BENCH_" + name + ".json";
   std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return true;
+  if (f == nullptr) return false;
   std::string doc;
   char buf[4096];
   std::size_t n = 0;
   while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) doc.append(buf, n);
   std::fclose(f);
-  if (doc.find("\"host\":") == std::string::npos) return true;
   const bool cpu_ok =
       doc.find("\"cpu_model\":\"" + host_escape(h.cpu_model) + "\"") !=
       std::string::npos;
@@ -215,9 +217,10 @@ class Reporter {
   void write() {
     if (written_) return;
     written_ = true;
-    // Compare against the baseline being replaced BEFORE truncating it.
+    // Compare against the checked-in baseline BEFORE this write can
+    // truncate it (the default path is the repo-root file when run there).
     const HostInfo host = host_info();
-    const bool comparable = baseline_comparable(path_, host);
+    const bool comparable = baseline_comparable(name_, host);
     std::FILE* f = std::fopen(path_.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "warning: cannot write %s\n", path_.c_str());

@@ -264,7 +264,7 @@ int main(int argc, char** argv) {
   const std::string report = workload::report::to_json(rp, rr);
 
   const HostInfo host = host_info();
-  const bool comparable = baseline_comparable(json_path, host);
+  const bool comparable = baseline_comparable("open_loop_scale", host);
   std::FILE* f = std::fopen(json_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "warning: cannot write %s\n", json_path.c_str());

@@ -143,7 +143,7 @@ int main(int argc, char** argv) {
   }
 
   const HostInfo host = host_info();
-  const bool comparable = baseline_comparable(json_path, host);
+  const bool comparable = baseline_comparable("sim_throughput", host);
   std::FILE* f = std::fopen(json_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "warning: cannot write %s\n", json_path.c_str());

@@ -12,9 +12,11 @@
 //     "server crashes and network failures" unit.
 //   * CrashInjector -- process death (crash/restart): volatile state is
 //     wiped, timers are poisoned, and on restart the node runs its recovery
-//     hook (WAL replay, epoch bump; see iqs_server.cpp).  Because a crash
-//     poisons the node's own timers, the injector schedules on the raw
-//     scheduler -- the restart timer must survive the crash it follows.
+//     hook (WAL replay, epoch bump; see iqs_server.cpp).
+//
+// Both injectors schedule barrier events (World::schedule_global): the
+// transitions change state every partition reads, and a barrier event is
+// bound to no node, so a restart survives the crash it follows.
 #pragma once
 
 #include <utility>
@@ -25,7 +27,65 @@
 
 namespace dq::sim {
 
-class FailureInjector {
+// The machinery both injectors share: per node, an alternating renewal
+// process of exponential up periods (mean `mean_up`) and down periods (mean
+// `mean_down`), each transition a barrier event.
+class RenewalInjector {
+ public:
+  virtual ~RenewalInjector() = default;
+  RenewalInjector(const RenewalInjector&) = delete;
+  RenewalInjector& operator=(const RenewalInjector&) = delete;
+
+  // Begin the up/down process on every node in `nodes`, each independent.
+  void start(const std::vector<NodeId>& nodes) {
+    for (NodeId n : nodes) schedule(n, /*down=*/true);
+  }
+
+  // Cancel every pending transition.  Deployment teardown calls this so
+  // an injector never reschedules past the experiment horizon (the tokens
+  // are generation-checked, so cancelling an already-fired event is a
+  // no-op).
+  void stop() {
+    for (auto& [n, tok] : timers_) tok.cancel();
+    timers_.clear();
+  }
+
+ protected:
+  RenewalInjector(World& world, Duration mean_up, Duration mean_down)
+      : world_(world), mean_up_(mean_up), mean_down_(mean_down) {}
+
+  // Take `n` down (down == true) or bring it back.
+  virtual void set_down(NodeId n, bool down) = 0;
+
+  World& world_;
+
+ private:
+  // Draw the current period's length and schedule the transition that ends
+  // it: the node goes down if `down`, else it comes back.
+  void schedule(NodeId n, bool down) {
+    const auto period = static_cast<Duration>(world_.rng().exponential(
+        static_cast<double>(down ? mean_up_ : mean_down_)));
+    const TimerToken tok = world_.schedule_global(period, [this, n, down] {
+      set_down(n, down);
+      schedule(n, !down);
+    });
+    // One live transition per node at any time: each reschedule replaces
+    // the node's stored token.
+    for (auto& [node, slot] : timers_) {
+      if (node == n) {
+        slot = tok;
+        return;
+      }
+    }
+    timers_.emplace_back(n, tok);
+  }
+
+  Duration mean_up_;
+  Duration mean_down_;
+  std::vector<std::pair<NodeId, TimerToken>> timers_;
+};
+
+class FailureInjector final : public RenewalInjector {
  public:
   struct Params {
     Duration mean_time_to_failure = seconds(99);
@@ -47,65 +107,17 @@ class FailureInjector {
   };
 
   FailureInjector(World& world, Params params)
-      : world_(world), params_(params) {}
-
-  // Begin injecting failures on `nodes`.  Each node gets an independent
-  // exponential up/down renewal process (failures modelled as
-  // unreachability, matching the paper's combined "server crashes and
-  // network failures" unit).
-  void start(const std::vector<NodeId>& nodes) {
-    for (NodeId n : nodes) schedule_failure(n);
-  }
-
-  // Cancel every pending up/down timer.  Deployment teardown calls this so
-  // an injector never reschedules past the experiment horizon (the tokens
-  // are generation-checked, so cancelling an already-fired timer is a
-  // no-op).
-  void stop() {
-    for (auto& [n, tok] : timers_) tok.cancel();
-    timers_.clear();
-  }
+      : RenewalInjector(world, params.mean_time_to_failure,
+                        params.mean_time_to_repair) {}
 
  private:
-  void schedule_failure(NodeId n) {
-    const auto up_for = static_cast<Duration>(world_.rng().exponential(
-        static_cast<double>(params_.mean_time_to_failure)));
-    remember(n, world_.scheduler().schedule_after(up_for, [this, n] {
-      world_.set_up(n, false);
-      schedule_repair(n);
-    }));
-  }
-
-  void schedule_repair(NodeId n) {
-    const auto down_for = static_cast<Duration>(world_.rng().exponential(
-        static_cast<double>(params_.mean_time_to_repair)));
-    remember(n, world_.scheduler().schedule_after(down_for, [this, n] {
-      world_.set_up(n, true);
-      schedule_failure(n);
-    }));
-  }
-
-  // One live timer per node at any time: each reschedule replaces the
-  // node's stored token.
-  void remember(NodeId n, TimerToken tok) {
-    for (auto& [node, slot] : timers_) {
-      if (node == n) {
-        slot = tok;
-        return;
-      }
-    }
-    timers_.emplace_back(n, tok);
-  }
-
-  World& world_;
-  Params params_;
-  std::vector<std::pair<NodeId, TimerToken>> timers_;
+  void set_down(NodeId n, bool down) override { world_.set_up(n, !down); }
 };
 
-// Drives exponential crash/restart renewal processes: each node alternates
-// between running (mean_time_to_crash) and down-after-crash (mean_downtime).
-// Restart invokes the node's recovery hook via World::restart.
-class CrashInjector {
+// Exponential crash/restart: each node alternates between running
+// (mean_time_to_crash) and down-after-crash (mean_downtime).  Restart
+// invokes the node's recovery hook via World::restart.
+class CrashInjector final : public RenewalInjector {
  public:
   struct Params {
     Duration mean_time_to_crash = seconds(120);
@@ -113,49 +125,18 @@ class CrashInjector {
   };
 
   CrashInjector(World& world, Params params)
-      : world_(world), params_(params) {}
-
-  void start(const std::vector<NodeId>& nodes) {
-    for (NodeId n : nodes) schedule_crash(n);
-  }
-
-  void stop() {
-    for (auto& [n, tok] : timers_) tok.cancel();
-    timers_.clear();
-  }
+      : RenewalInjector(world, params.mean_time_to_crash,
+                        params.mean_downtime) {}
 
  private:
-  void schedule_crash(NodeId n) {
-    const auto up_for = static_cast<Duration>(world_.rng().exponential(
-        static_cast<double>(params_.mean_time_to_crash)));
-    remember(n, world_.scheduler().schedule_after(up_for, [this, n] {
-      if (!world_.is_crashed(n)) world_.crash(n);
-      schedule_restart(n);
-    }));
-  }
-
-  void schedule_restart(NodeId n) {
-    const auto down_for = static_cast<Duration>(world_.rng().exponential(
-        static_cast<double>(params_.mean_downtime)));
-    remember(n, world_.scheduler().schedule_after(down_for, [this, n] {
-      if (world_.is_crashed(n)) world_.restart(n);
-      schedule_crash(n);
-    }));
-  }
-
-  void remember(NodeId n, TimerToken tok) {
-    for (auto& [node, slot] : timers_) {
-      if (node == n) {
-        slot = tok;
-        return;
-      }
+  // crash() and restart() are no-ops on a node already in that state.
+  void set_down(NodeId n, bool down) override {
+    if (down) {
+      world_.crash(n);
+    } else {
+      world_.restart(n);
     }
-    timers_.emplace_back(n, tok);
   }
-
-  World& world_;
-  Params params_;
-  std::vector<std::pair<NodeId, TimerToken>> timers_;
 };
 
 }  // namespace dq::sim

@@ -44,8 +44,8 @@ Duration base_delay(const Topology::Params& p, LinkClass c) {
 
 namespace detail {
 // Which partition the current thread is executing (null on the coordinating
-// thread and in every serial simulation).  Plain thread-local state: set and
-// cleared by the engine around each partition step.
+// thread).  Plain thread-local state: set and cleared by the engine around
+// each partition step.
 // dqlint:allow(part-mutable-global): per-thread by construction; each worker
 // sees only its own partition pointer, so nothing is shared across them.
 thread_local PartitionState* t_state = nullptr;
@@ -210,7 +210,7 @@ struct Engine::Pool {
 
 Engine::Engine(World& world, std::size_t threads) : world_(world) {
   const std::size_t parts = world_.parts_.size();
-  DQ_INVARIANT(parts > 0, "engine requires a partitioned world");
+  DQ_INVARIANT(parts > 0, "engine requires at least one partition");
   threads_ = std::clamp<std::size_t>(threads, 1, parts);
   pool_ = std::make_unique<Pool>(threads_ - 1);
 }
@@ -219,6 +219,7 @@ Engine::~Engine() = default;
 
 std::size_t Engine::run_until(Time deadline) {
   auto& parts = world_.parts_;
+  Scheduler& barrier = world_.barrier_;
   const Duration lookahead = world_.plan_.lookahead;
   std::size_t executed = 0;
 
@@ -227,10 +228,21 @@ std::size_t Engine::run_until(Time deadline) {
     for (auto& p : parts) {
       t_min = std::min(t_min, p->sched->next_event_time());
     }
-    if (t_min == kTimeInfinity || t_min > deadline) break;
-    const Time window =
-        lookahead < kTimeInfinity - t_min ? std::min(deadline, t_min + lookahead)
-                                          : deadline;
+    // Rounds stop short of the next barrier event, t_g.
+    const Time t_g = barrier.next_event_time();
+    const Time limit = std::min(deadline, t_g - 1);
+    if (t_min > limit) {
+      if (t_g > deadline || t_g == kTimeInfinity) break;
+      // A barrier event is due first (ties included).  Every partition has
+      // run everything before t_g; line their clocks up on it and run the
+      // barrier events here, on the coordinating thread.
+      for (auto& p : parts) p->sched->advance_to(t_g);
+      executed += barrier.run_until(t_g);
+      continue;
+    }
+    const Time window = lookahead < kTimeInfinity - t_min
+                            ? std::min(limit, t_min + lookahead)
+                            : limit;
 
     // Phase A: every partition executes its local window concurrently.
     // Cross-partition sends land in the outboxes, never in a live queue.
@@ -254,10 +266,10 @@ std::size_t Engine::run_until(Time deadline) {
 
   if (deadline < kTimeInfinity) {
     // No events remain at or before the deadline; advance every partition
-    // clock to it (same contract as the serial Scheduler::run_until).
+    // clock to it (the same contract as Scheduler::run_until).
     for (auto& p : parts) p->sched->run_until(deadline);
   }
-  merge_tracers();
+  world_.fold_traces();
   return executed;
 }
 
@@ -282,38 +294,6 @@ void Engine::merge_mailboxes_into(PartitionState& dst) {
     dst.sched->schedule_construct_at<World::DeliveryEvent>(m.deliver_at, w,
                                                            std::move(m.env));
   }
-}
-
-void Engine::merge_tracers() {
-  auto& parts = world_.parts_;
-  bool any = false;
-  for (auto& p : parts) any = any || !p->tracer.events().empty();
-  if (!any) return;
-  // Deterministic interleave: by time, then partition index, then emission
-  // order within the partition.  (Cross-partition trace order is a property
-  // of the partitioned schedule, not of thread count.)
-  struct Item {
-    const TraceEvent* ev;
-    std::uint32_t part;
-    std::size_t pos;
-  };
-  std::vector<Item> items;
-  for (auto& p : parts) {
-    const auto& evs = p->tracer.events();
-    for (std::size_t i = 0; i < evs.size(); ++i) {
-      items.push_back({&evs[i], p->index, i});
-    }
-  }
-  std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
-    if (a.ev->at != b.ev->at) return a.ev->at < b.ev->at;
-    if (a.part != b.part) return a.part < b.part;
-    return a.pos < b.pos;
-  });
-  for (const Item& it : items) {
-    world_.tracer_.emit(it.ev->at, it.ev->node, it.ev->category,
-                        it.ev->detail);
-  }
-  for (auto& p : parts) p->tracer.clear();
 }
 
 }  // namespace dq::sim::par

@@ -1,4 +1,5 @@
-// Conservative parallel discrete-event execution inside a single World.
+// The world engine: conservative parallel discrete-event execution inside a
+// single World.
 //
 // The simulation's nodes are split into a fixed set of partitions, each with
 // its own scheduler (event queue + clock), rng stream, message accounting,
@@ -6,34 +7,41 @@
 // round the engine computes the globally earliest pending event time T and a
 // safe window bound
 //
-//     window = T + lookahead,
+//     window = min(T + lookahead, t_g - 1),
 //
 // where `lookahead` is the minimum base one-way network delay between any
 // two nodes in *different* partitions (jitter is multiplicative >= 1, so the
-// base delay is a hard lower bound).  Any event executed in the window can
-// only produce cross-partition messages with deliver time >= T + lookahead,
-// i.e. at or past the window bound -- so all partitions may run their local
-// queues up to `window` concurrently without ever receiving a message "from
-// the past".  Cross-partition sends are buffered in per-(src, dst) mailboxes
-// (each written by exactly one partition per round, read only after the
-// round barrier) and merged into the destination queues in the fixed order
+// base delay is a hard lower bound) and t_g is the time of the next barrier
+// event.  Any event executed in the window can only produce cross-partition
+// messages with deliver time >= T + lookahead, i.e. at or past the window
+// bound -- so all partitions may run their local queues up to `window`
+// concurrently without ever receiving a message "from the past".
+// Cross-partition sends are buffered in per-(src, dst) mailboxes (each
+// written by exactly one partition per round, read only after the round
+// barrier) and merged into the destination queues in the fixed order
 // (deliver_time, global_seq, dst_node), which makes the total event order a
 // pure function of the simulation state: byte-identical output at any
 // worker-thread count, including one.
 //
+// Barrier events (World::schedule_global) are the fault and crash
+// transitions, which change state every partition reads.  Once the next one
+// is due no later than every partition event, the engine advances each
+// partition clock to its time t_g and runs it on the coordinating thread,
+// between rounds: at equal times, barrier events run before partition
+// events.  This is exact because delivery re-checks reachability.
+//
 // The partition count is derived from the topology alone -- never from the
 // thread count -- so `--world-threads 1` and `--world-threads 8` execute the
 // exact same partitioned schedule; threads only decide how many partitions
-// advance concurrently within a round.
+// advance concurrently within a round.  One partition has no lookahead
+// bound: a round runs its one queue up to the deadline or barrier event.
 //
 // Determinism boundaries the engine relies on (enforced by World):
 //   * Actors only touch their own node's state from on_message/timers, and a
 //     node's events all run on its owning partition's queue.
 //   * Shared named metrics instruments use per-partition lanes
 //     (obs/metrics.h); snapshots fold lanes in fixed order.
-//   * Fault/crash injection mutates cross-partition reachability state and
-//     is therefore only available on the classic serial engine (the
-//     experiment harness falls back and says so).
+//   * Fault/crash state changes mid-run only in barrier events.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +64,7 @@ namespace dq::sim::par {
 // Static node -> partition assignment plus the lookahead it induces.
 struct PartitionPlan {
   std::vector<std::uint32_t> of_node;  // node id -> partition index
-  std::size_t count = 0;               // 0 = serial (no partitioning)
+  std::size_t count = 0;               // number of partitions, >= 1
   Duration lookahead = 0;              // min cross-partition base delay
 };
 
@@ -126,8 +134,8 @@ extern thread_local PartitionState* t_state;
 
 // Ambient "which partition is this thread executing" state, used by World to
 // route rng draws, timers, sends, clocks, and traces without threading a
-// context argument through every actor.  Null outside a partition step (the
-// coordinating thread and all serial simulations).
+// context argument through every actor.  Null outside a partition step (on
+// the coordinating thread, which also runs barrier events).
 [[nodiscard]] inline PartitionState* current_state() {
   return detail::t_state;
 }
@@ -135,7 +143,7 @@ inline void set_current_state(PartitionState* state) {
   detail::t_state = state;
 }
 
-// The round loop + worker pool.  Owned by a World in partitioned mode.
+// The round loop + worker pool.  Every World owns one.
 class Engine {
  public:
   Engine(World& world, std::size_t threads);
@@ -144,10 +152,10 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  // Run every partition up to `deadline` (same contract as
-  // Scheduler::run_until: executes events at <= deadline, then advances all
-  // partition clocks to the deadline unless it is kTimeInfinity).  Returns
-  // the number of events executed.
+  // Run every partition and the barrier queue up to `deadline` (same
+  // contract as Scheduler::run_until: executes events at <= deadline, then
+  // advances all partition clocks to the deadline unless it is
+  // kTimeInfinity).  Returns the number of events executed.
   std::size_t run_until(Time deadline);
 
   [[nodiscard]] std::size_t threads() const { return threads_; }
@@ -156,7 +164,6 @@ class Engine {
   struct Pool;  // the only thread-primitive holder, in parallel_world.cpp
 
   void merge_mailboxes_into(PartitionState& dst);
-  void merge_tracers();
 
   World& world_;
   std::size_t threads_ = 1;

@@ -68,6 +68,12 @@ std::size_t Scheduler::run_until(Time deadline) {
   return ran;
 }
 
+void Scheduler::advance_to(Time t) {
+  DQ_INVARIANT(next_event_time() >= t,
+               "advance_to would skip a pending event");
+  if (now_ < t) now_ = t;
+}
+
 Time Scheduler::next_event_time() {
   while (!heap_.empty()) {
     const HeapEntry& top = heap_.front();

@@ -103,6 +103,12 @@ class Scheduler {
   // periodic timers never drain; prefer run_until).
   std::size_t run_all() { return run_until(kTimeInfinity); }
 
+  // Move the clock forward to `t` without running anything.  Every pending
+  // event must already be at or past `t`.  The world engine uses this to
+  // line every partition clock up on a barrier event's time before running
+  // it, while leaving that partition's own events at `t` for later.
+  void advance_to(Time t);
+
   [[nodiscard]] bool empty() const { return live_ == 0; }
   [[nodiscard]] std::size_t executed_events() const { return executed_; }
 

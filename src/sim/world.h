@@ -5,23 +5,25 @@
 // the world only through the narrow API here (send / timers / clocks / rng),
 // which is what makes failure injection and deterministic replay possible.
 //
-// A world runs on one of two engines:
-//   * serial (default): one scheduler, one rng, exactly the classic
-//     behavior;
-//   * partitioned (Parallelism{partitions > 0}): nodes are split into
-//     topology-derived partitions, each with its own scheduler/rng/stats
-//     lane, executed in conservative lookahead rounds by a worker pool
-//     (sim/parallel_world.h).  Output is a pure function of the partition
-//     plan -- byte-identical at any thread count -- but differs from the
-//     serial engine's schedule, so callers opt in explicitly.
+// There is one engine (sim/parallel_world.h): nodes are split into
+// topology-derived partitions, each with its own scheduler, rng stream,
+// message accounting and trace buffer, and a worker pool runs them in
+// conservative lookahead rounds.  The default World(topo, seed) has one
+// partition and one thread -- a plain event loop over one queue and the
+// root rng stream.  Output is a pure function of the seed and the partition
+// count, byte-identical at any worker-thread count.
+//
+// Fault and crash transitions are barrier events (schedule_global): they
+// wait on one world-level queue and run on the coordinating thread between
+// rounds, with every partition clock lined up on their time.  At equal
+// times, barrier events run before partition events.
 #pragma once
 
-#include <functional>
+#include <array>
 #include <memory>
 #include <vector>
 
-#include <array>
-
+#include "common/assert.h"
 #include "common/ids.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
@@ -63,13 +65,12 @@ class Actor {
 
 class World {
  public:
-  // Intra-trial parallelism knobs.  partitions == 0 selects the classic
-  // serial engine.  partitions >= 1 selects the partitioned engine (the
-  // count is clamped to [1, num_servers]; pass
-  // par::default_partition_count(topo) for the standard topology-derived
-  // plan).  `threads` sizes the worker pool and never affects results.
+  // Intra-trial parallelism knobs.  `partitions` is clamped to
+  // [1, num_servers]; pass par::default_partition_count(topo) for the
+  // standard topology-derived plan.  `threads` sizes the worker pool and
+  // never affects results.
   struct Parallelism {
-    std::size_t partitions = 0;
+    std::size_t partitions = 1;
     std::size_t threads = 1;
   };
 
@@ -91,9 +92,7 @@ class World {
   void set_clock(NodeId node, DriftClock clock);
 
   // --- actor-facing API ----------------------------------------------------
-  [[nodiscard]] Time now() const {
-    return parts_.empty() ? sched_.now() : active_state().sched->now();
-  }
+  [[nodiscard]] Time now() const { return active_state().sched->now(); }
   [[nodiscard]] Time local_now(NodeId node) const {
     return clock_of(node).local_time(now());
   }
@@ -117,8 +116,8 @@ class World {
   // per request.  Loss / duplication / delay / reachability are evaluated at
   // call time from the sending partition's stream (the batch itself is a
   // scheduled event, so this stays deterministic); delivery happens at
-  // depart_at + delay, which on the partitioned engine is always at or past
-  // the lookahead bound because defer >= 0.
+  // depart_at + delay, which is always at or past the lookahead bound
+  // because defer >= 0.
   void send_at(NodeId src, NodeId dst, Time depart_at, RequestId rpc_id,
                msg::Payload body) {
     const Time t = now();
@@ -152,37 +151,52 @@ class World {
     return set_timer(node, delay < 0 ? 0 : delay, std::move(fn));
   }
 
-  [[nodiscard]] Rng& rng() {
-    return parts_.empty() ? rng_ : active_state().rng;
+  // Schedule a barrier event `delay` from now.  `fn` runs on the
+  // coordinating thread between rounds, with every partition clock at its
+  // time, so it may touch any node: crash or restart it, flip its
+  // reachability.  Unlike set_timer it belongs to no node, so a crash does
+  // not poison it.  Fault and crash injectors schedule here.  Only the
+  // coordinating thread may call this (setup, or another barrier event).
+  template <typename F>
+  TimerToken schedule_global(Duration delay, F fn) {
+    DQ_INVARIANT(par::current_state() == nullptr,
+                 "barrier events may not be scheduled inside a partition "
+                 "step");
+    return barrier_.schedule_at(now() + (delay < 0 ? 0 : delay),
+                                std::move(fn));
   }
+
+  [[nodiscard]] Rng& rng() { return active_state().rng; }
   [[nodiscard]] RequestId fresh_rpc_id() {
-    if (parts_.empty()) return RequestId(++next_rpc_id_);
     // Partition-disjoint id spaces: high bits carry the partition, so two
     // partitions can mint ids concurrently and never collide.  Partition 0
-    // (and therefore every single-partition plan) mints the serial values.
+    // (and therefore every single-partition plan) mints 1, 2, 3, ...
     par::PartitionState& st = active_state();
     return RequestId((static_cast<std::uint64_t>(st.index) << 48) |
                      ++st.next_rpc_id);
   }
 
   // --- tracing ---------------------------------------------------------------
-  // Enable/inspect via tracer().  On the partitioned engine each partition
-  // buffers its own events and the engine folds them into this tracer in a
-  // deterministic (time, partition, emission) order at the end of each run
-  // call.
-  [[nodiscard]] Tracer& tracer() { return tracer_; }
+  // Enable/inspect via tracer().  Each partition buffers its own events;
+  // they are folded into this tracer in a deterministic (time, partition,
+  // emission) order at the end of each run call and whenever tracer() is
+  // read.
+  [[nodiscard]] Tracer& tracer() {
+    fold_traces();
+    return tracer_;
+  }
   [[nodiscard]] bool tracing() const { return tracer_.enabled(); }
   // Emit a protocol event at `node` (no-op unless tracing is enabled).
   void trace(NodeId node, std::string category, std::string detail) {
     if (!tracer_.enabled()) return;
-    Tracer& t = parts_.empty() ? tracer_ : active_state().tracer;
-    t.emit(now(), node, std::move(category), std::move(detail));
+    active_state().tracer.emit(now(), node, std::move(category),
+                               std::move(detail));
   }
 
   // --- failure injection ---------------------------------------------------
   // Unreachability (network failure): node keeps running, no traffic in/out.
-  // Mid-run fault mutation is a serial-engine feature (the experiment
-  // harness falls back to serial when injection is configured).
+  // Mid-run changes belong in barrier events (schedule_global), which see
+  // every partition stopped at one time.
   void set_up(NodeId node, bool up) { faults_.set_up(node, up); }
   [[nodiscard]] bool is_up(NodeId node) const { return faults_.is_up(node); }
 
@@ -197,30 +211,22 @@ class World {
   [[nodiscard]] FaultPlane& faults() { return faults_; }
 
   // --- running -------------------------------------------------------------
-  std::size_t run_until(Time deadline) {
-    return parts_.empty() ? sched_.run_until(deadline)
-                          : engine_->run_until(deadline);
-  }
+  // Returns the number of events executed, barrier events included.
+  std::size_t run_until(Time deadline) { return engine_->run_until(deadline); }
   std::size_t run_for(Duration d) { return run_until(now() + d); }
-  std::size_t run_all() {
-    return parts_.empty() ? sched_.run_all()
-                          : engine_->run_until(kTimeInfinity);
-  }
-  // The serial engine's event queue.  Injectors and tests that schedule raw
-  // events use it; on the partitioned engine there is no single queue, so
-  // this trips an invariant -- schedule through set_timer instead.
-  [[nodiscard]] Scheduler& scheduler();
+  std::size_t run_all() { return run_until(kTimeInfinity); }
 
   // --- introspection ---------------------------------------------------------
   [[nodiscard]] const Topology& topology() const { return topo_; }
-  // Serial: the live per-run accounting.  Partitioned: a merged view over
-  // the per-partition lanes, rebuilt on each call (read it between runs).
-  [[nodiscard]] MessageStats& message_stats();
+  // A snapshot merged over the per-partition lanes, taken between runs.  By
+  // value: read it again after running more events.
+  [[nodiscard]] MessageStats message_stats() const;
   [[nodiscard]] std::uint64_t dropped_messages() const;
-  // Events executed so far, summed over every partition's scheduler.
+  // Events executed so far, summed over every partition's scheduler and the
+  // barrier queue.
   [[nodiscard]] std::size_t executed_events() const;
 
-  // The active partition plan; count == 0 on the serial engine.
+  // The active partition plan.
   [[nodiscard]] const par::PartitionPlan& partition_plan() const {
     return plan_;
   }
@@ -262,7 +268,8 @@ class World {
 
   // The partition state backing the calling thread: its own state inside a
   // partition step, partition 0 from the coordinating thread (setup-time
-  // rng draws and sends come from partition 0's stream and lane).
+  // and barrier-event rng draws and sends come from partition 0's stream
+  // and lane).
   [[nodiscard]] par::PartitionState& active_state() const {
     par::PartitionState* s = par::current_state();
     if (s != nullptr && s->world == this) return *s;
@@ -274,15 +281,14 @@ class World {
   // timers would race the owner's queue).
   [[nodiscard]] Scheduler& sched_for(std::uint32_t node_idx);
 
-  void route_partitioned(Envelope env, Duration delay);
+  void route(Envelope env, Duration delay);
+
+  // Move every partition's buffered trace events into tracer_.
+  void fold_traces();
 
   Topology topo_;
-  Rng rng_;
-  Scheduler sched_;
   Tracer tracer_;
   FaultPlane faults_;
-  MessageStats stats_;
-  MessageStats merged_stats_;  // partitioned: rebuilt by message_stats()
   obs::MetricsRegistry metrics_;
   // Pre-registered network instruments (hot path: no name lookups).
   obs::Counter* m_sent_ = nullptr;
@@ -296,12 +302,13 @@ class World {
   std::vector<bool> crashed_;
   // Incarnation numbers invalidate pre-crash timers cheaply.
   std::vector<std::uint64_t> incarnation_;
-  std::uint64_t next_rpc_id_ = 0;
-  std::uint64_t dropped_ = 0;
   std::vector<std::uint64_t> sent_by_;
   std::vector<std::uint64_t> received_by_;
-  // Partitioned-engine state; parts_ empty means serial.  The engine comes
-  // last so its worker pool is torn down before anything it references.
+  // Barrier events (schedule_global), queued at absolute World::now()-based
+  // times; this queue's own clock only trails the partitions'.
+  Scheduler barrier_;
+  // The engine comes last so its worker pool is torn down before anything
+  // it references.
   par::PartitionPlan plan_;
   std::vector<std::unique_ptr<par::PartitionState>> parts_;
   std::unique_ptr<par::Engine> engine_;

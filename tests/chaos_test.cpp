@@ -8,6 +8,7 @@
 #include <tuple>
 
 #include "workload/experiment.h"
+#include "workload/report.h"
 
 namespace dq::workload {
 namespace {
@@ -167,6 +168,63 @@ TEST(CrashChaosTorn, TornTailPathIsExercised) {
       << "no DQVL chaos seed dropped a torn record; re-pick seeds";
 }
 
+// Open loop under crashes and outages: generators emit into six partitions
+// while both injectors crash, restart and cut off servers as barrier events
+// between rounds.  Every completed read stays regular, and the report does
+// not depend on the worker-thread count.
+ExperimentParams open_loop_crash_params() {
+  ExperimentParams p;
+  p.protocol = "dqvl";
+  p.seed = 17;
+  p.topo.num_servers = 6;
+  p.topo.num_clients = 3;
+  p.topo.jitter = 0.1;
+  p.write_ratio = 0.2;
+  p.locality = 0.9;
+  p.lease_length = sim::seconds(1);
+  p.loss = 0.02;
+  store::WalParams w;
+  w.policy = store::SyncPolicy::kGroupCommit;
+  p.wal = w;
+  sim::CrashInjector::Params c;
+  c.mean_time_to_crash = sim::seconds(5);
+  c.mean_downtime = sim::seconds(1);
+  p.crashes = c;
+  p.failures = sim::FailureInjector::Params::for_unavailability(
+      0.02, sim::seconds(20));
+  OpenLoopParams ol;
+  ol.clients_per_site = 1000;
+  ol.client_rate_hz = 0.1;
+  ol.objects = 200;
+  ol.horizon = sim::seconds(10);
+  p.open_loop = ol;
+  return p;
+}
+
+TEST(OpenLoopChaos, CrashesKeepReadsRegularAtAnyThreadCount) {
+  ExperimentParams p = open_loop_crash_params();
+  std::string at1;
+  for (const std::size_t threads : {1u, 4u}) {
+    p.world_threads = threads;
+    const ExperimentResult r = run_experiment(p);
+    EXPECT_TRUE(r.violations.empty())
+        << r.violations.size()
+        << " violations, first: " << r.violations.front().reason;
+    EXPECT_GT(r.total_requests(), 1000u);
+    EXPECT_LE(r.total_requests(), 5000u);
+    EXPECT_GT(r.metrics.counter("iqs.recoveries") +
+                  r.metrics.counter("oqs.recoveries"),
+              0u)
+        << "no server ever crash-restarted";
+    const std::string doc = report::to_json(p, r);
+    if (threads == 1) {
+      at1 = doc;
+    } else {
+      EXPECT_EQ(at1, doc) << "report diverges at --world-threads " << threads;
+    }
+  }
+}
+
 // Crash-restart churn (process deaths, not just unreachability): OQS soft
 // state evaporates and must be re-derived; IQS durable state survives.
 TEST(ChaosExtra, CrashRestartChurn) {
@@ -180,16 +238,16 @@ TEST(ChaosExtra, CrashRestartChurn) {
   p.choose_object = [](Rng& rng) { return ObjectId(rng.below(4)); };
   Deployment dep(p);
   auto& w = dep.world();
-  // Every 3 seconds, crash-restart a random server.
+  // Every 3 seconds, crash-restart a random server (barrier events, like
+  // the injectors').
   std::function<void()> churn = [&] {
     const auto idx = w.rng().below(w.topology().num_servers());
     const NodeId n = w.topology().server(idx);
     w.crash(n);
-    w.scheduler().schedule_after(sim::milliseconds(500),
-                                 [&w, n] { w.restart(n); });
-    w.scheduler().schedule_after(sim::seconds(3), churn);
+    w.schedule_global(sim::milliseconds(500), [&w, n] { w.restart(n); });
+    w.schedule_global(sim::seconds(3), churn);
   };
-  w.scheduler().schedule_after(sim::seconds(2), churn);
+  w.schedule_global(sim::seconds(2), churn);
 
   dep.start_clients();
   while (!dep.clients_done() && w.now() < sim::seconds(100000)) {

@@ -121,11 +121,17 @@ TEST(Flags, MalformedFlashCrowdFails) {
   EXPECT_NE(error.find("flash-crowd"), std::string::npos);
 }
 
-TEST(Flags, OpenLoopRejectsInjection) {
-  auto flags = parse({"--open-loop", "--node-unavail=0.01"});
+TEST(Flags, OpenLoopAcceptsInjection) {
+  // Faults and crashes run as barrier events on any partition plan, open
+  // loop included.
+  auto flags = parse({"--open-loop", "--node-unavail=0.01",
+                      "--crash-mttc-ms=5000"});
   std::string error;
-  EXPECT_FALSE(params_from_flags(flags, &error).has_value());
-  EXPECT_NE(error.find("open-loop"), std::string::npos);
+  const auto p = params_from_flags(flags, &error);
+  ASSERT_TRUE(p.has_value()) << error;
+  EXPECT_TRUE(p->open_loop.has_value());
+  EXPECT_TRUE(p->failures.has_value());
+  EXPECT_TRUE(p->crashes.has_value());
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "golden_params.h"
 #include "run/parallel_runner.h"
 #include "workload/report.h"
 
@@ -20,48 +21,8 @@ namespace {
 
 using workload::ExperimentParams;
 
-// The golden matrix: two protocols x two seeds, with enough loss and jitter
-// that the run exercises retries, reordering, and drops.  These parameters
-// must not change -- tests/golden/*.json were generated from them.
-ExperimentParams golden_params(std::string proto, std::uint64_t seed) {
-  ExperimentParams p;
-  p.protocol = proto;
-  p.write_ratio = 0.2;
-  p.locality = 0.9;
-  p.requests_per_client = 120;
-  p.loss = 0.02;
-  p.topo.jitter = 0.1;
-  p.seed = seed;
-  return p;
-}
-
-// Crash-heavy golden cells: WAL (group commit, torn-tail faults on) plus an
-// exponential crash/restart process over every server.  Crash scheduling,
-// WAL replay, and torn-tail sampling all draw from the seeded rng, so these
-// reports too must be byte-identical at any --jobs value and against their
-// checked-in goldens.  These parameters must not change either --
-// tests/golden/report_*_crash_seed*.json were generated from them.
-ExperimentParams crash_golden_params(std::string proto, std::uint64_t seed) {
-  ExperimentParams p;
-  p.protocol = proto;
-  p.write_ratio = 0.3;
-  p.locality = 0.85;
-  p.requests_per_client = 100;
-  p.lease_length = sim::seconds(1);
-  p.loss = 0.02;
-  p.topo.jitter = 0.1;
-  p.op_deadline = sim::seconds(25);
-  store::WalParams w;
-  w.policy = store::SyncPolicy::kGroupCommit;
-  w.torn_tail_faults = true;
-  p.wal = w;
-  sim::CrashInjector::Params c;
-  c.mean_time_to_crash = sim::seconds(10);
-  c.mean_downtime = sim::seconds(1);
-  p.crashes = c;
-  p.seed = seed;
-  return p;
-}
+using golden::crash_golden_params;
+using golden::golden_params;
 
 struct Cell {
   std::string proto;

@@ -10,10 +10,14 @@
 //      --world-threads 4 is checked in; every run at any thread count must
 //      keep matching it byte for byte.
 //
-// The engine's schedule legitimately differs from the classic serial
-// engine's (different rng stream assignment, different cross-partition
-// interleaving) -- callers opt in -- so there is no cross-engine equality
-// test, only cross-thread-count.
+//   3. FAULTS AND CRASHES ARE BARRIER EVENTS.  Injector transitions run on
+//      the coordinating thread between rounds, so a crash-injected report
+//      is just as thread-count-independent, and a golden pins it.
+//
+// A multi-partition schedule legitimately differs from the one-partition
+// schedule (different rng stream assignment, different cross-partition
+// interleaving), so there is no cross-partition-count equality test, only
+// cross-thread-count.
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -21,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include "golden_params.h"
 #include "sim/parallel_world.h"
 #include "sim/world.h"
 #include "workload/experiment.h"
@@ -66,16 +71,32 @@ TEST(ParallelWorld, ReportsByteIdenticalAcrossWorldThreadCounts) {
   }
 }
 
-TEST(ParallelWorld, ReportMatchesCheckedInGolden) {
-  const std::string path =
-      std::string(DQ_GOLDEN_DIR) + "/report_dqvl_world4_seed7.json";
+std::string read_golden(const std::string& name) {
+  const std::string path = std::string(DQ_GOLDEN_DIR) + "/" + name;
   std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "missing golden file " << path;
+  EXPECT_TRUE(in.good()) << "missing golden file " << path;
   std::ostringstream buf;
   buf << in.rdbuf();
+  return buf.str();
+}
+
+TEST(ParallelWorld, ReportMatchesCheckedInGolden) {
   // The generator wrote the document with a trailing newline.
-  EXPECT_EQ(report_at(world_golden_params(), 4) + "\n", buf.str())
+  EXPECT_EQ(report_at(world_golden_params(), 4) + "\n",
+            read_golden("report_dqvl_world4_seed7.json"))
       << "partitioned-engine report no longer matches its checked-in golden";
+}
+
+TEST(ParallelWorld, CrashReportMatchesGoldenAtOneAndFourThreads) {
+  // The crash-heavy DQVL cell on the topology-derived plan: crash/restart
+  // transitions are barrier events applied between rounds.
+  const ExperimentParams p = golden::crash_golden_params("dqvl", 13);
+  const std::string golden =
+      read_golden("report_dqvl_crash_world4_seed13.json");
+  for (const std::size_t threads : {1u, 4u}) {
+    EXPECT_EQ(report_at(p, threads) + "\n", golden)
+        << "crash-injected report diverges at --world-threads " << threads;
+  }
 }
 
 TEST(ParallelWorld, MajorityProtocolIdenticalAcrossThreadCounts) {
@@ -83,25 +104,6 @@ TEST(ParallelWorld, MajorityProtocolIdenticalAcrossThreadCounts) {
   p.protocol = "majority";
   p.seed = 11;
   EXPECT_EQ(report_at(p, 1), report_at(p, 4));
-}
-
-TEST(ParallelWorld, InjectionFallsBackToSerialEngine) {
-  // Fault injectors mutate cross-partition reachability mid-run, so a
-  // deployment with them configured must run serial even when world_threads
-  // is set -- and therefore produce exactly the serial engine's report.
-  ExperimentParams p = world_golden_params();
-  p.failures = FailureInjector::Params::for_unavailability(0.05, seconds(50));
-  p.requests_per_client = 40;
-  ExperimentParams serial = p;
-  serial.world_threads = 0;
-  const std::string base = workload::report::to_json(
-      serial, workload::run_experiment(serial));
-  ExperimentParams wt = p;
-  wt.world_threads = 4;
-  const auto result = workload::run_experiment(wt);
-  // Render under the serial params: world_threads itself is not part of the
-  // report (it must never be, or thread counts would become observable).
-  EXPECT_EQ(base, workload::report::to_json(serial, result));
 }
 
 // --- engine-level tests on a bare World --------------------------------------
@@ -161,6 +163,62 @@ TEST(ParallelWorld, RunUntilAdvancesEveryPartitionClock) {
   w.send(NodeId(0), NodeId(3), RequestId(1), msg::DqRead{ObjectId(1)});
   w.run_for(seconds(1));
   ASSERT_EQ(actors[3].log.size(), 1u);
+}
+
+// Records when each message arrives.
+class Clocked final : public Actor {
+ public:
+  void on_message(const Envelope&) override { log.push_back(world().now()); }
+  std::vector<Time> log;
+};
+
+TEST(ParallelWorld, BarrierEventsRunBeforePartitionEventsAtEqualTimes) {
+  Topology::Params tp;
+  tp.num_servers = 4;
+  tp.num_clients = 0;
+  for (const std::size_t partitions : {1u, 4u}) {
+    World w(Topology(tp), 3, World::Parallelism{partitions, 2});
+    std::vector<Clocked> actors(4);
+    for (std::uint32_t i = 0; i < 4; ++i) w.attach(NodeId(i), actors[i]);
+    std::vector<std::string> order;
+    w.set_timer(NodeId(2), milliseconds(50), [&] { order.push_back("timer"); });
+    w.schedule_global(milliseconds(50), [&] {
+      order.push_back("barrier");
+      // A barrier event may act for any node.  Every partition clock stands
+      // at its time, so each send below lands exactly one link later.
+      for (std::uint32_t i = 0; i < 4; ++i) {
+        w.send(NodeId(i), NodeId((i + 1) % 4), RequestId(i + 1),
+               msg::DqRead{ObjectId(i)});
+      }
+    });
+    w.run_until(milliseconds(200));
+    EXPECT_EQ(order, (std::vector<std::string>{"barrier", "timer"}))
+        << "partitions=" << partitions;
+    for (const Clocked& a : actors) {
+      EXPECT_EQ(a.log, std::vector<Time>{milliseconds(90)})
+          << "partitions=" << partitions;
+    }
+    EXPECT_EQ(w.now(), milliseconds(200));
+  }
+}
+
+TEST(ParallelWorld, BarrierEventsSurviveCrashesAndStopAtTheDeadline) {
+  Topology::Params tp;
+  tp.num_servers = 3;
+  tp.num_clients = 0;
+  World w(Topology(tp), 3, World::Parallelism{3, 1});
+  std::vector<Clocked> actors(3);
+  for (std::uint32_t i = 0; i < 3; ++i) w.attach(NodeId(i), actors[i]);
+  w.schedule_global(seconds(1), [&] { w.crash(NodeId(1)); });
+  // Unlike a node timer, a barrier event is not poisoned by the crash.
+  w.schedule_global(seconds(2), [&] { w.restart(NodeId(1)); });
+  EXPECT_EQ(w.run_until(seconds(1) - 1), 0u);
+  EXPECT_FALSE(w.is_crashed(NodeId(1)));
+  EXPECT_EQ(w.run_until(seconds(1)), 1u);  // a barrier at the deadline runs
+  EXPECT_TRUE(w.is_crashed(NodeId(1)));
+  w.run_all();
+  EXPECT_FALSE(w.is_crashed(NodeId(1)));
+  EXPECT_EQ(w.executed_events(), 2u);
 }
 
 TEST(ParallelWorld, PartitionCountNeverFollowsThreadCount) {

@@ -2,7 +2,8 @@
 // under the tsan preset every translation unit carries -fsanitize=thread, so
 // any data race inside a single parallel World -- partition workers touching
 // each other's queues, an unlaned metrics instrument, a mailbox read before
-// the round barrier -- aborts the ctest run.  In the default build it
+// the round barrier, a barrier event (crash/restart) applied while a round
+// is still running -- aborts the ctest run.  In the default build it
 // degrades to a fast --world-threads 1 vs 4 golden-comparison determinism
 // check (the same property tests/parallel_world_test.cpp holds in-depth).
 #include <cstdio>
@@ -27,10 +28,25 @@ dq::workload::ExperimentParams smoke_params(const std::string& proto) {
   return p;
 }
 
-std::string render(const std::string& proto, std::size_t world_threads) {
-  dq::workload::ExperimentParams p = smoke_params(proto);
+std::string render_at(dq::workload::ExperimentParams p,
+                      std::size_t world_threads) {
   p.world_threads = world_threads;
   return dq::workload::report::to_json(p, dq::workload::run_experiment(p));
+}
+
+// Crash/restart injection: the transitions are barrier events, run on the
+// coordinating thread between rounds, and the recovery hooks they trigger
+// reach into every partition's queues.
+dq::workload::ExperimentParams with_crashes(dq::workload::ExperimentParams p) {
+  dq::store::WalParams w;
+  w.policy = dq::store::SyncPolicy::kGroupCommit;
+  p.wal = w;
+  dq::sim::CrashInjector::Params c;
+  c.mean_time_to_crash = dq::sim::seconds(3);
+  c.mean_downtime = dq::sim::milliseconds(500);
+  p.crashes = c;
+  p.lease_length = dq::sim::seconds(1);
+  return p;
 }
 
 // Open-loop generators emit into partition-local queues from worker
@@ -58,10 +74,16 @@ dq::workload::ExperimentParams open_loop_smoke_params() {
   return p;
 }
 
-std::string render_open_loop(std::size_t world_threads) {
-  dq::workload::ExperimentParams p = open_loop_smoke_params();
-  p.world_threads = world_threads;
-  return dq::workload::report::to_json(p, dq::workload::run_experiment(p));
+// Reports at --world-threads 1 and 4 must be byte-identical.
+bool identical_at_1_and_4(const dq::workload::ExperimentParams& p,
+                          const char* what) {
+  if (render_at(p, 1) == render_at(p, 4)) return true;
+  std::fprintf(stderr,
+               "tsan_world_smoke: %s --world-threads 1 and 4 reports differ "
+               "-- the partitioned engine's schedule leaked thread "
+               "scheduling\n",
+               what);
+  return false;
 }
 
 }  // namespace
@@ -72,28 +94,18 @@ int main() {
   // retransmissions, replay timers, handoff loops) under the partitioned
   // engine.
   for (const char* proto : {"dqvl", "hermes", "dynamo"}) {
-    const std::string at1 = render(proto, 1);
-    const std::string at4 = render(proto, 4);
-    if (at1 != at4) {
-      std::fprintf(stderr,
-                   "tsan_world_smoke: %s --world-threads 1 and 4 reports "
-                   "differ -- the partitioned engine's schedule leaked "
-                   "thread scheduling\n",
-                   proto);
-      return 1;
-    }
+    if (!identical_at_1_and_4(smoke_params(proto), proto)) return 1;
   }
-  const std::string ol1 = render_open_loop(1);
-  const std::string ol4 = render_open_loop(4);
-  if (ol1 != ol4) {
-    std::fprintf(stderr,
-                 "tsan_world_smoke: open-loop --world-threads 1 and 4 "
-                 "reports differ -- generator emission leaked thread "
-                 "scheduling\n");
+  if (!identical_at_1_and_4(open_loop_smoke_params(), "open-loop") ||
+      !identical_at_1_and_4(with_crashes(smoke_params("dqvl")),
+                            "crash-injected dqvl") ||
+      !identical_at_1_and_4(with_crashes(open_loop_smoke_params()),
+                            "crash-injected open-loop")) {
     return 1;
   }
   std::printf(
       "tsan_world_smoke: dq.report.v1 byte-identical at --world-threads 1 "
-      "and 4 for dqvl, hermes, dynamo, and the open-loop workload\n");
+      "and 4 for dqvl, hermes, dynamo, the open-loop workload, and both "
+      "with crash injection\n");
   return 0;
 }

@@ -180,13 +180,12 @@ TEST_F(WorldTest, SameSeedSameDeliverySchedule) {
     for (std::size_t i = 0; i < 4; ++i) {
       w2.attach(NodeId(static_cast<std::uint32_t>(i)), r[i]);
     }
-    std::vector<Time> times;
     for (int i = 0; i < 20; ++i) {
       w2.send(NodeId(0), NodeId(1), RequestId(static_cast<std::uint64_t>(i)),
               msg::DqRead{ObjectId(1)});
     }
     w2.run_for(seconds(1));
-    times.push_back(w2.scheduler().now());
+    EXPECT_EQ(w2.now(), seconds(1));
     return r[1].received.size();
   };
   EXPECT_EQ(run(9), run(9));
