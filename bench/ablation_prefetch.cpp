@@ -49,13 +49,13 @@ Probe probe(bool prefetch, std::size_t objects) {
     dep.oqs_server(s0)->prefetch(VolumeId(0), [&](bool) { done = true; });
     spin(done);
   }
-  Summary reads;
+  obs::Histogram reads;
   for (std::uint64_t k = 0; k < objects; ++k) {
     bool done = false;
     const sim::Time t0 = w.now();
     client->read(ObjectId(k), [&](bool, VersionedValue) { done = true; });
     spin(done);
-    reads.add(sim::to_ms(w.now() - t0));
+    reads.observe(sim::to_ms(w.now() - t0));
   }
   return {reads.mean(), w.message_stats().total() - msgs_before};
 }

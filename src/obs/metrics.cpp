@@ -1,6 +1,8 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 
 namespace dq::obs {
 
@@ -11,36 +13,66 @@ namespace detail {
 thread_local std::uint32_t t_current_lane = 0;
 }  // namespace detail
 
-double HistogramData::bucket_upper_ms(std::size_t i) {
-  double ub = kFirstUpperMs;
-  for (std::size_t k = 0; k < i; ++k) ub *= 2.0;
-  return ub;
+namespace {
+
+constexpr std::uint64_t kSub = std::uint64_t{1} << HistogramData::kSubBits;
+// Values below this get a bucket of width one: index == value.
+constexpr std::uint64_t kLinear = 2 * kSub;
+
+// A value with bit width b > kSubBits + 1 keeps its top kSubBits + 1 bits:
+// shifting by s = b - kSubBits - 1 leaves a mantissa in [kSub, 2*kSub), and
+// the index s*kSub + mantissa is contiguous with the linear range below.
+std::size_t bucket_index(std::uint64_t ns) {
+  constexpr int kKeep = HistogramData::kSubBits + 1;
+  const int shift =
+      std::max(0, static_cast<int>(std::bit_width(ns)) - kKeep);
+  return (static_cast<std::size_t>(shift) << HistogramData::kSubBits) +
+         static_cast<std::size_t>(ns >> shift);
 }
 
-std::size_t HistogramData::bucket_index(double v_ms) {
-  std::size_t i = 0;
-  double ub = kFirstUpperMs;
-  while (v_ms > ub && i + 1 < kBuckets) {
-    ub *= 2.0;
-    ++i;
+// Midpoint of the integer nanosecond values bucket `i` holds.
+double bucket_mid_ns(std::size_t i) {
+  if (i < kLinear) return static_cast<double>(i);
+  const unsigned shift =
+      static_cast<unsigned>(i >> HistogramData::kSubBits) - 1;
+  const std::uint64_t lo = ((i & (kSub - 1)) | kSub) << shift;
+  const std::uint64_t width = std::uint64_t{1} << shift;
+  return static_cast<double>(lo) + static_cast<double>(width - 1) / 2.0;
+}
+
+constexpr double kNsPerMs = 1e6;
+// Simulated durations never approach this (sim::kTimeInfinity is ~73 years);
+// the clamp only keeps the float-to-integer conversion defined.
+constexpr double kMaxNs = 9.0e18;
+
+}  // namespace
+
+void HistogramData::observe(double v_ms) {
+  if (count == 0) {
+    min = v_ms;
+    max = v_ms;
+  } else {
+    min = std::min(min, v_ms);
+    max = std::max(max, v_ms);
   }
-  return i;
+  ++count;
+  sum += v_ms;
+  const double ns = std::clamp(v_ms * kNsPerMs + 0.5, 0.0, kMaxNs);
+  const std::size_t i = bucket_index(static_cast<std::uint64_t>(ns));
+  if (i >= buckets.size()) buckets.resize(i + 1, 0);
+  ++buckets[i];
 }
 
 double HistogramData::quantile(double q) const {
   if (count == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  if (q <= 0.0) return min;
+  if (!(q > 0.0)) return min;
   if (q >= 1.0) return max;
-  const double target = q * static_cast<double>(count);
+  const std::uint64_t rank = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(count))));
   std::uint64_t seen = 0;
   for (std::size_t i = 0; i < buckets.size(); ++i) {
     seen += buckets[i];
-    if (static_cast<double>(seen) >= target) {
-      // Clamp the bucket upper bound into the observed range so estimates
-      // never exceed the true extremes.
-      return std::clamp(bucket_upper_ms(i), min, max);
-    }
+    if (seen >= rank) return std::clamp(bucket_mid_ns(i) / kNsPerMs, min, max);
   }
   return max;
 }
@@ -65,20 +97,6 @@ HistogramData Histogram::merged() const {
   HistogramData out = data_;
   for (const HistogramData& d : extra_) out.merge(d);
   return out;
-}
-
-void Histogram::observe(double v_ms) {
-  HistogramData& d = lane_data();
-  if (d.count == 0) {
-    d.min = v_ms;
-    d.max = v_ms;
-  } else {
-    d.min = std::min(d.min, v_ms);
-    d.max = std::max(d.max, v_ms);
-  }
-  ++d.count;
-  d.sum += v_ms;
-  ++d.buckets[HistogramData::bucket_index(v_ms)];
 }
 
 std::uint64_t MetricsSnapshot::counter(const std::string& name) const {
@@ -141,12 +159,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   }
   for (const auto& [name, h] : histograms_) s.histograms[name] = h->merged();
   return s;
-}
-
-void MetricsRegistry::reset() {
-  for (auto& [name, c] : counters_) *c = Counter{lanes_};
-  for (auto& [name, g] : gauges_) *g = Gauge{lanes_};
-  for (auto& [name, h] : histograms_) *h = Histogram{lanes_};
 }
 
 std::string node_metric(const std::string& base, std::uint32_t node) {

@@ -1,5 +1,5 @@
 // Deterministic, simulation-safe metrics: named counters, gauges, and
-// fixed-bucket log-scale histograms.
+// log-linear histograms with bounded relative quantile error.
 //
 // Design constraints (DESIGN.md "Observability"):
 //   * No wall clock.  Every recorded duration is virtual (sim::Time math done
@@ -10,6 +10,9 @@
 //   * No allocation on the hot path.  Actors look up their instruments once
 //     (by name, at registration/construction time) and then update plain
 //     integers.  Instrument addresses are stable for the registry's lifetime.
+//     A histogram's bucket vector grows only when a value lands beyond
+//     every bucket seen so far, so it stops allocating once the range of
+//     values has been seen.
 //
 // One MetricsRegistry lives in each sim::World; snapshot() freezes every
 // instrument into a MetricsSnapshot that the experiment harness folds into
@@ -127,30 +130,32 @@ class Gauge {
 };
 
 // Frozen histogram state; also the merge/quantile math shared by live
-// histograms and snapshots.
+// histograms and snapshots.  This is the one quantile primitive: every
+// latency, phase and staleness distribution in a report is one of these.
+//
+// Log-linear (HDR-style) buckets over integer nanoseconds.  Values below
+// 2^kSubBits ns get one bucket each; every power of two above that is split
+// into 2^kSubBits equal-width buckets, so a bucket is never wider than
+// 2^-kSubBits of its lower edge.  The bucket vector grows only to the
+// largest index observed (at most ~7.3k buckets, at the 9e18 ns clamp), so
+// memory is bounded by the largest value, not by the sample count.
 struct HistogramData {
-  // Fixed log-scale buckets: bucket i counts observations v (in ms) with
-  // upper(i-1) < v <= upper(i), where upper(i) = 0.001 * 2^i ms.  Bucket 0
-  // therefore holds everything at or below one microsecond (including the
-  // zero-duration "suppressed write" fast path) and the last bucket is
-  // unbounded.  48 buckets reach ~39 simulated hours.
-  static constexpr std::size_t kBuckets = 48;
-  static constexpr double kFirstUpperMs = 0.001;  // 1 us
-
-  [[nodiscard]] static double bucket_upper_ms(std::size_t i);
-  [[nodiscard]] static std::size_t bucket_index(double v_ms);
+  static constexpr unsigned kSubBits = 7;
 
   std::uint64_t count = 0;
-  double sum = 0.0;
+  double sum = 0.0;  // count, sum, min and max are exact, not bucketed
   double min = 0.0;
   double max = 0.0;
-  std::vector<std::uint64_t> buckets;  // size kBuckets once observed/merged
+  std::vector<std::uint64_t> buckets;
 
+  void observe(double v_ms);
   [[nodiscard]] double mean() const {
     return count == 0 ? 0.0 : sum / static_cast<double>(count);
   }
-  // Bucket-interpolated quantile estimate, q in [0, 1].  Exact for the
-  // extremes, within one bucket (a factor of two) elsewhere.
+  // Nearest-rank quantile, q in [0, 1]: the midpoint of the bucket holding
+  // the ceil(q*n)-th smallest value, clamped to [min, max].  Exact at q = 0
+  // and q = 1, within 2^-(kSubBits+1) (< 0.4%) of an observed value
+  // elsewhere; 0 for an empty histogram.
   [[nodiscard]] double quantile(double q) const;
   void merge(const HistogramData& other);
 };
@@ -158,25 +163,25 @@ struct HistogramData {
 // Live histogram of durations in milliseconds.
 class Histogram {
  public:
-  Histogram() { init_buckets(data_); }
+  Histogram() = default;
   explicit Histogram(std::uint32_t lanes) {
-    init_buckets(data_);
-    if (lanes > 1) {
-      extra_.resize(lanes - 1);
-      for (HistogramData& d : extra_) init_buckets(d);
-    }
+    if (lanes > 1) extra_.resize(lanes - 1);
   }
 
-  void observe(double v_ms);
-  // Lane 0 only -- the whole story for serial registries.
-  [[nodiscard]] const HistogramData& data() const { return data_; }
+  void observe(double v_ms) { lane_data().observe(v_ms); }
   // All lanes folded together in lane order (what snapshots render).
   [[nodiscard]] HistogramData merged() const;
 
+  // Read-only views of merged().
+  [[nodiscard]] std::uint64_t count() const { return merged().count; }
+  [[nodiscard]] double mean() const { return merged().mean(); }
+  [[nodiscard]] double min() const { return merged().min; }
+  [[nodiscard]] double max() const { return merged().max; }
+  [[nodiscard]] double p50() const { return merged().quantile(0.50); }
+  [[nodiscard]] double p95() const { return merged().quantile(0.95); }
+  [[nodiscard]] double p99() const { return merged().quantile(0.99); }
+
  private:
-  static void init_buckets(HistogramData& d) {
-    d.buckets.assign(HistogramData::kBuckets, 0);
-  }
   [[nodiscard]] HistogramData& lane_data() {
     if (extra_.empty()) return data_;
     const std::uint32_t lane = current_lane();
@@ -233,7 +238,6 @@ class MetricsRegistry {
   Histogram& histogram(const std::string& name);
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
-  void reset();  // zero every instrument (registrations survive)
 
  private:
   std::uint32_t lanes_ = 1;

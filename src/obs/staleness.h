@@ -24,8 +24,10 @@
 //
 // The tracker is fed post-hoc from the experiment's merged operation
 // history (a pure computation -- byte-identical at any --jobs or
-// --world-threads), and the resulting ages land in the ordinary obs
-// log-histograms, so they ride the dq.report.v1 pipeline unchanged.
+// --world-threads), and the resulting ages land in an ordinary obs
+// histogram, so they ride the dq.report.v1 pipeline unchanged.  Its
+// quantiles are within 0.4% of an observed age, and fresh reads' zero ages
+// report exactly 0.
 #pragma once
 
 #include <cstdint>

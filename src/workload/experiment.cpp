@@ -216,12 +216,12 @@ ExperimentResult Deployment::collect() {
   for (const OpRecord& op : r.history.ops()) {
     if (!op.ok) continue;
     const double ms = sim::to_ms(op.completed - op.invoked);
-    r.all_ms.add(ms);
+    r.all_ms.observe(ms);
     if (op.kind == msg::OpKind::kRead) {
-      r.read_ms.add(ms);
+      r.read_ms.observe(ms);
       ++r.completed_reads;
     } else {
-      r.write_ms.add(ms);
+      r.write_ms.observe(ms);
       ++r.completed_writes;
     }
   }

@@ -9,7 +9,7 @@
 //   config          the experiment knobs, incl. the IQS QuorumSpec string
 //   requests        completed/rejected read and write counts
 //   availability    fraction of requests completed
-//   latency_ms      read/write/all Summary (count, mean, min, max, p50/95/99)
+//   latency_ms      read/write/all latency histograms
 //   messages        totals, per-request rates, per-type table
 //   write_phases    DQVL write-latency breakdown: suppress / invalidate /
 //                   lease_wait histograms (empty object for baselines)
@@ -17,6 +17,11 @@
 //   metrics         full registry dump (counters, gauges, histograms)
 //   sim_duration_ms virtual time consumed
 //   violations      consistency-check violation count
+//
+// Every histogram in the document -- latency_ms, write_phases, staleness,
+// per-site latency and each metrics.histograms entry -- renders the same
+// obs::HistogramData object: count, mean, min and max are exact; p50/p95/p99
+// are nearest-rank quantiles within 0.4% of a value a request actually saw.
 #pragma once
 
 #include <cstdio>

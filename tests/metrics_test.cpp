@@ -1,9 +1,14 @@
-// The obs metrics layer: registry semantics, histogram bucket math,
+// The obs metrics layer: registry semantics, histogram quantile accuracy,
 // snapshot merging, report rendering, QuorumSpec parsing, and the key
 // property the whole design hangs on -- recording metrics perturbs nothing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <random>
+#include <utility>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "workload/experiment.h"
@@ -43,55 +48,21 @@ TEST(MetricsRegistry, GaugeTracksValueAndHighWaterMark) {
   EXPECT_EQ(g.max(), 7);
 }
 
-TEST(MetricsRegistry, ResetZeroesButKeepsRegistrations) {
-  obs::MetricsRegistry reg;
-  obs::Counter& c = reg.counter("x");
-  obs::Gauge& g = reg.gauge("y");
-  obs::Histogram& h = reg.histogram("z");
-  c.inc(7);
-  g.add(4);
-  h.observe(1.5);
-  reg.reset();
-  EXPECT_EQ(&c, &reg.counter("x"));  // same address after reset
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(g.value(), 0);
-  EXPECT_EQ(g.max(), 0);
-  EXPECT_EQ(h.data().count, 0u);
-}
-
 // --------------------------------------------------------------------------
-// Histogram bucket edges
+// Histogram
 // --------------------------------------------------------------------------
 
-TEST(Histogram, BucketEdgesAreLogScale) {
-  // upper(i) = 0.001 * 2^i ms.
-  EXPECT_DOUBLE_EQ(obs::HistogramData::bucket_upper_ms(0), 0.001);
-  EXPECT_DOUBLE_EQ(obs::HistogramData::bucket_upper_ms(1), 0.002);
-  EXPECT_DOUBLE_EQ(obs::HistogramData::bucket_upper_ms(10), 1.024);
-}
-
-TEST(Histogram, BucketIndexRespectsEdges) {
-  using HD = obs::HistogramData;
-  // Bucket 0 holds everything at or below its upper edge, including 0.
-  EXPECT_EQ(HD::bucket_index(0.0), 0u);
-  EXPECT_EQ(HD::bucket_index(0.001), 0u);
-  // Strictly above an edge falls into the next bucket.
-  EXPECT_EQ(HD::bucket_index(0.0011), 1u);
-  EXPECT_EQ(HD::bucket_index(0.002), 1u);
-  // Values beyond the last edge land in the final (unbounded) bucket.
-  EXPECT_EQ(HD::bucket_index(1e18), HD::kBuckets - 1);
-  // Every bucket's own upper edge maps back to that bucket.
-  for (std::size_t i = 0; i + 1 < HD::kBuckets; ++i) {
-    EXPECT_EQ(HD::bucket_index(HD::bucket_upper_ms(i)), i) << i;
-  }
-}
+// The documented bound: a reported quantile is the midpoint of a bucket no
+// wider than 2^-kSubBits of its lower edge, so it is off by at most half
+// of that.
+constexpr double kRelErr = 1.0 / (2 << obs::HistogramData::kSubBits);
 
 TEST(Histogram, ObserveTracksCountSumExtrema) {
   obs::Histogram h;
   h.observe(1.0);
   h.observe(4.0);
   h.observe(0.0);
-  const auto& d = h.data();
+  const auto d = h.merged();
   EXPECT_EQ(d.count, 3u);
   EXPECT_DOUBLE_EQ(d.sum, 5.0);
   EXPECT_DOUBLE_EQ(d.min, 0.0);
@@ -103,15 +74,138 @@ TEST(Histogram, QuantilesAreExactAtExtremesAndBucketAccurateBetween) {
   obs::Histogram h;
   for (int i = 0; i < 100; ++i) h.observe(1.0);   // bucket of 1 ms
   for (int i = 0; i < 100; ++i) h.observe(64.0);  // much larger bucket
-  const auto& d = h.data();
+  const auto d = h.merged();
   EXPECT_DOUBLE_EQ(d.quantile(0.0), d.min);
   EXPECT_DOUBLE_EQ(d.quantile(1.0), d.max);
-  // p25 lives in the 1 ms bucket; bucket interpolation is within a factor
-  // of two of the true value.
-  EXPECT_LE(d.quantile(0.25), 2.0);
-  // p75 lives in the 64 ms bucket.
-  EXPECT_GE(d.quantile(0.75), 32.0);
-  EXPECT_LE(d.quantile(0.75), 64.0 + 1e-9);
+  // p25 lives in the 1 ms bucket, p75 in the 64 ms one; each estimate is
+  // within the bucket error of the true value and never outside [min, max].
+  EXPECT_NEAR(d.quantile(0.25), 1.0, 1.0 * kRelErr);
+  EXPECT_NEAR(d.quantile(0.75), 64.0, 64.0 * kRelErr);
+  EXPECT_LE(d.quantile(0.75), 64.0);
+}
+
+TEST(Histogram, EmptyIsZero) {
+  obs::Histogram h;
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.mean(), 0.0);
+  EXPECT_EQ(h.min(), 0.0);
+  EXPECT_EQ(h.max(), 0.0);
+  EXPECT_EQ(h.p50(), 0.0);
+  EXPECT_EQ(h.p99(), 0.0);
+  for (const double q : {0.0, 0.5, 1.0}) {
+    EXPECT_EQ(h.merged().quantile(q), 0.0);
+  }
+}
+
+// Zero-duration samples (fresh reads' staleness age, the suppressed-write
+// fast path) must report exactly 0, alone or mixed with nonzero values.
+TEST(Histogram, ZeroSamplesReportExactlyZero) {
+  obs::Histogram zeros;
+  for (int i = 0; i < 50; ++i) zeros.observe(0.0);
+  EXPECT_EQ(zeros.p50(), 0.0);
+  EXPECT_EQ(zeros.p95(), 0.0);
+  EXPECT_EQ(zeros.p99(), 0.0);
+
+  obs::Histogram mixed;
+  for (int i = 0; i < 60; ++i) mixed.observe(0.0);
+  for (int i = 0; i < 40; ++i) mixed.observe(90.7);
+  EXPECT_EQ(mixed.merged().quantile(0.01), 0.0);
+  EXPECT_EQ(mixed.p50(), 0.0);
+  EXPECT_NEAR(mixed.p95(), 90.7, 90.7 * kRelErr);
+  EXPECT_NEAR(mixed.p99(), 90.7, 90.7 * kRelErr);
+}
+
+// Against exact nearest-rank quantiles of the same samples (the
+// ceil(q*n)-th smallest), on uniform, log-uniform and Pareto-tailed data.
+TEST(Histogram, QuantilesMatchExactNearestRankWithinBound) {
+  using Draw = std::function<double(std::mt19937_64&)>;
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const std::pair<const char*, Draw> kDists[] = {
+      {"uniform", [&](std::mt19937_64& g) { return 0.001 + unit(g) * 1000.0; }},
+      // 1 us .. 10^6 ms.
+      {"log-uniform",
+       [&](std::mt19937_64& g) {
+         return std::exp(std::log(1e-3) + unit(g) * std::log(1e9));
+       }},
+      // x_m = 1 ms, alpha = 1.1: a heavy tail with rare huge values.
+      {"pareto",
+       [&](std::mt19937_64& g) {
+         return 1.0 / std::pow(1.0 - unit(g), 1.0 / 1.1);
+       }},
+  };
+  const double kQs[] = {0.01, 0.05, 0.1, 0.25, 0.5,
+                        0.75, 0.9,  0.95, 0.99, 0.999};
+  std::mt19937_64 rng(2005);
+  for (const auto& [name, draw] : kDists) {
+    for (int trial = 0; trial < 20; ++trial) {
+      const std::size_t n = 1 + rng() % 5000;
+      obs::Histogram h;
+      std::vector<double> xs(n);
+      for (double& x : xs) {
+        x = draw(rng);
+        h.observe(x);
+      }
+      std::sort(xs.begin(), xs.end());
+      const obs::HistogramData d = h.merged();
+      EXPECT_EQ(d.quantile(0.0), xs.front()) << name;
+      EXPECT_EQ(d.quantile(1.0), xs.back()) << name;
+      for (const double q : kQs) {
+        const auto rank = std::max<std::size_t>(
+            1, static_cast<std::size_t>(std::ceil(q * static_cast<double>(n))));
+        const double exact = xs[rank - 1];
+        EXPECT_LE(std::abs(d.quantile(q) - exact), 0.005 * exact)
+            << name << " n=" << n << " q=" << q;
+      }
+      // Memory follows the largest value, not the sample count: more
+      // samples inside the observed range add no buckets.
+      const std::size_t size = d.buckets.size();
+      for (std::size_t i = 0; i < 4 * n; ++i) {
+        h.observe(xs[i % n]);
+      }
+      EXPECT_EQ(h.merged().buckets.size(), size) << name;
+    }
+  }
+}
+
+// The partitioned engine gives each partition its own lane; folding the
+// lanes must give exactly the histogram one lane would have built.
+TEST(Histogram, LaneFoldEqualsOneLane) {
+  obs::Histogram one;
+  obs::Histogram four(4);
+  std::mt19937_64 rng(17);
+  std::exponential_distribution<double> exp_ms(1.0 / 40.0);
+  for (int i = 0; i < 3000; ++i) {
+    const double x = exp_ms(rng);
+    obs::set_current_lane(static_cast<std::uint32_t>(rng() % 4));
+    four.observe(x);
+    one.observe(x);
+  }
+  obs::set_current_lane(0);
+  const obs::HistogramData a = one.merged();
+  const obs::HistogramData b = four.merged();
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.min, b.min);
+  EXPECT_EQ(a.max, b.max);
+  EXPECT_NEAR(a.sum, b.sum, 1e-9 * a.sum);
+  EXPECT_EQ(a.buckets, b.buckets);
+
+  // Same for snapshots of independent registries.
+  obs::MetricsRegistry ra, rb, both;
+  for (int i = 0; i < 2000; ++i) {
+    const double x = exp_ms(rng);
+    (i % 3 == 0 ? ra : rb).histogram("h").observe(x);
+    both.histogram("h").observe(x);
+  }
+  obs::MetricsSnapshot s = ra.snapshot();
+  s.merge(rb.snapshot());
+  const obs::HistogramData& m = s.histograms.at("h");
+  const obs::MetricsSnapshot whole = both.snapshot();
+  const obs::HistogramData& w = whole.histograms.at("h");
+  EXPECT_EQ(m.count, w.count);
+  EXPECT_EQ(m.min, w.min);
+  EXPECT_EQ(m.max, w.max);
+  EXPECT_NEAR(m.sum, w.sum, 1e-9 * w.sum);
+  EXPECT_EQ(m.buckets, w.buckets);
 }
 
 // --------------------------------------------------------------------------
@@ -300,17 +394,6 @@ TEST(Report, JsonContainsTheSchemaSections) {
         "\"metrics\"", "\"sim_duration_ms\"", "\"violations\""}) {
     EXPECT_NE(json.find(needle), std::string::npos) << needle;
   }
-}
-
-TEST(Report, SummaryPercentilesAreMemoizedCorrectly) {
-  Summary s;
-  for (int i = 100; i >= 1; --i) s.add(i);  // reverse order
-  EXPECT_DOUBLE_EQ(s.p50(), 50.5);
-  // Adding after a query must invalidate the memoized sort.
-  s.add(1000.0);
-  EXPECT_DOUBLE_EQ(s.max(), 1000.0);
-  EXPECT_DOUBLE_EQ(s.percentile(100), 1000.0);
-  EXPECT_DOUBLE_EQ(s.p99(), s.percentile(99));
 }
 
 }  // namespace

@@ -66,10 +66,11 @@ def check_summary(obj, where):
         expect(isinstance(obj[k], (int, float)), f"{where}.{k}: not a number")
     expect(obj["count"] >= 0, f"{where}.count: negative")
     if obj["count"] > 0:
-        expect(obj["min"] <= obj["p50"] <= obj["p99"] <= obj["max"] + 1e-9,
+        expect(obj["min"] <= obj["p50"] <= obj["p95"] <= obj["p99"] <=
+               obj["max"] + 1e-9,
                f"{where}: quantiles not ordered "
-               f"(min={obj['min']} p50={obj['p50']} p99={obj['p99']} "
-               f"max={obj['max']})")
+               f"(min={obj['min']} p50={obj['p50']} p95={obj['p95']} "
+               f"p99={obj['p99']} max={obj['max']})")
 
 
 def check_report(doc, where, *, dqvl=False):
@@ -101,6 +102,13 @@ def check_report(doc, where, *, dqvl=False):
     lat = doc["latency_ms"]
     for k in ("read", "write", "all"):
         check_summary(lat.get(k), f"{where}.latency_ms.{k}")
+    expect(lat["read"]["count"] == req["completed_reads"],
+           f"{where}.latency_ms.read.count != requests.completed_reads")
+    expect(lat["write"]["count"] == req["completed_writes"],
+           f"{where}.latency_ms.write.count != requests.completed_writes")
+    expect(lat["all"]["count"] == lat["read"]["count"] +
+           lat["write"]["count"],
+           f"{where}.latency_ms.all.count != read.count + write.count")
 
     msgs = doc["messages"]
     for k in ("total", "bytes"):
@@ -126,6 +134,8 @@ def check_report(doc, where, *, dqvl=False):
     expect(not missing, f"{where}.metrics: missing keys {sorted(missing)}")
     for k in METRICS_KEYS:
         expect(isinstance(met[k], dict), f"{where}.metrics.{k}: expected object")
+    for name, hist in met["histograms"].items():
+        check_summary(hist, f"{where}.metrics.histograms.{name}")
 
     expect(isinstance(doc["sim_duration_ms"], (int, float)),
            f"{where}.sim_duration_ms: not a number")
