@@ -19,47 +19,19 @@
 // (~one WAN RTT) on top of the OQS read.  Writes are unchanged.
 #pragma once
 
-#include <memory>
-#include <utility>
-
 #include "core/dq_client.h"
 
 namespace dq::core {
 
-class DqAtomicClient {
+// Writes are the plain DQVL writes (already atomic among themselves: the
+// LC-read phase orders a write after every completed write); reads add the
+// confirmation round on the same engine.
+class DqAtomicClient final : public DqClient {
  public:
-  using ReadCallback = DqClient::ReadCallback;
-  using WriteCallback = DqClient::WriteCallback;
-
-  DqAtomicClient(sim::World& world, NodeId self,
-                 std::shared_ptr<const DqConfig> config)
-      : world_(world), self_(self), cfg_(std::move(config)),
-        inner_(world_, self_, cfg_), engine_(world_, self_) {}
+  using DqClient::DqClient;
 
   // Atomic read: regular DQVL read, then write-back confirmation.
-  void read(ObjectId o, ReadCallback done);
-
-  // Writes are the plain DQVL writes (already atomic among themselves: the
-  // LC-read phase orders a write after every completed write).
-  void write(ObjectId o, Value value, WriteCallback done) {
-    inner_.write(o, std::move(value), std::move(done));
-  }
-
-  bool on_message(const sim::Envelope& env) {
-    return inner_.on_message(env) || engine_.on_reply(env);
-  }
-
-  void cancel_all() {
-    inner_.cancel_all();
-    engine_.cancel_all();
-  }
-
- private:
-  sim::World& world_;
-  NodeId self_;
-  std::shared_ptr<const DqConfig> cfg_;
-  DqClient inner_;
-  rpc::QrpcEngine engine_;  // for the confirmation phase
+  void read(ObjectId o, ReadCallback done) override;
 };
 
 }  // namespace dq::core

@@ -1,64 +1,24 @@
 #include "core/dq_client.h"
 
-#include <algorithm>
-#include <memory>
 #include <utility>
 
 namespace dq::core {
 
 void DqClient::read(ObjectId o, ReadCallback done) {
-  // Shared accumulator: the best (highest-clock) reply seen so far.
-  auto best = std::make_shared<VersionedValue>();
-  engine_.call(
-      *cfg_->oqs, quorum::Kind::kRead,
-      [o](NodeId) -> std::optional<msg::Payload> { return msg::DqRead{o}; },
-      [best](NodeId, const msg::Payload& p) {
-        if (const auto* r = std::get_if<msg::DqReadReply>(&p)) {
-          if (r->clock >= best->clock) {
-            best->value = r->value;
-            best->clock = r->clock;
-          }
-        }
-      },
-      [best, done = std::move(done)](bool ok) { done(ok, *best); },
-      cfg_->rpc);
+  read_latest(
+      *cfg_->oqs, msg::DqRead{o},
+      [](const msg::Payload& p) { return std::get_if<msg::DqReadReply>(&p); },
+      std::move(done));
 }
 
 void DqClient::write(ObjectId o, Value value, WriteCallback done) {
-  // Phase 1: highest completed logical clock from an IQS read quorum.
-  auto max_lc = std::make_shared<LogicalClock>();
-  engine_.call(
-      *cfg_->iqs, quorum::Kind::kRead,
-      [o](NodeId) -> std::optional<msg::Payload> { return msg::DqLcRead{o}; },
-      [max_lc](NodeId, const msg::Payload& p) {
-        if (const auto* r = std::get_if<msg::DqLcReadReply>(&p)) {
-          *max_lc = std::max(*max_lc, r->clock);
-        }
+  two_phase_write(
+      *cfg_->iqs, msg::DqLcRead{o},
+      [](const msg::Payload& p) { return std::get_if<msg::DqLcReadReply>(&p); },
+      [o, value = std::move(value)](LogicalClock lc) {
+        return msg::DqWrite{o, value, lc};
       },
-      [this, o, value = std::move(value), max_lc,
-       done = std::move(done)](bool ok) mutable {
-        if (!ok) {
-          done(false, LogicalClock{});
-          return;
-        }
-        // Phase 2: the write proper, to an IQS write quorum.  Advance past
-        // our own previously issued clock as well as the quorum maximum:
-        // pipelined writes from one writer would otherwise observe the same
-        // quorum max and mint identical clocks (writer-id tie-breaking only
-        // disambiguates *different* writers).
-        const LogicalClock lc =
-            std::max(*max_lc, issued_).advanced_by(writer_id_);
-        issued_ = lc;
-        engine_.call(
-            *cfg_->iqs, quorum::Kind::kWrite,
-            [o, lc, value](NodeId) -> std::optional<msg::Payload> {
-              return msg::DqWrite{o, value, lc};
-            },
-            [](NodeId, const msg::Payload&) {},
-            [lc, done = std::move(done)](bool ok2) { done(ok2, lc); },
-            cfg_->rpc);
-      },
-      cfg_->rpc);
+      std::move(done));
 }
 
 }  // namespace dq::core

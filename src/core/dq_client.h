@@ -10,49 +10,30 @@
 // forwards envelopes to on_message.
 #pragma once
 
-#include <functional>
 #include <memory>
 
 #include "common/ids.h"
 #include "common/version.h"
 #include "core/config.h"
-#include "msg/wire.h"
-#include "rpc/qrpc.h"
+#include "rpc/register_client.h"
 #include "sim/world.h"
 
 namespace dq::core {
 
-class DqClient {
+class DqClient : public rpc::RegisterClient {
  public:
-  using ReadCallback = std::function<void(bool ok, VersionedValue)>;
-  using WriteCallback = std::function<void(bool ok, LogicalClock)>;
-
   DqClient(sim::World& world, NodeId self,
            std::shared_ptr<const DqConfig> config)
-      : world_(world), self_(self), cfg_(std::move(config)),
-        engine_(world_, self_), writer_id_(self_.value()) {}
+      : RegisterClient(world, self, config->rpc), cfg_(std::move(config)) {}
 
   // Read `o`: QRPC to an OQS read quorum; returns the highest-clock reply.
-  void read(ObjectId o, ReadCallback done);
+  void read(ObjectId o, ReadCallback done) override;
 
   // Write `value` to `o`: LC-read phase then write phase, both on the IQS.
-  void write(ObjectId o, Value value, WriteCallback done);
+  void write(ObjectId o, Value value, WriteCallback done) override;
 
-  // Route engine replies.  Returns true if consumed.
-  bool on_message(const sim::Envelope& env) { return engine_.on_reply(env); }
-
-  [[nodiscard]] std::size_t inflight() const { return engine_.inflight(); }
-  void cancel_all() { engine_.cancel_all(); }
-
- private:
-  sim::World& world_;
-  NodeId self_;
+ protected:
   std::shared_ptr<const DqConfig> cfg_;
-  rpc::QrpcEngine engine_;
-  ClientId writer_id_;
-  // Highest clock this writer has issued; keeps pipelined same-writer
-  // writes strictly ordered (see DqClient::write phase 2).
-  LogicalClock issued_;
 };
 
 }  // namespace dq::core

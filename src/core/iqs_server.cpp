@@ -382,10 +382,8 @@ void IqsServer::start_or_extend_ensure(ObjectId o) {
     en.call = 0;
   }
   en.call_target = en.target;
-  // call_until may complete synchronously (condition already true); in that
-  // case on_complete runs before the id is returned and we must not record
-  // a stale call id.
-  auto completed = std::make_shared<bool>(false);
+  // call_until returns 0 when the condition already held: on_complete ran
+  // before it returned, so there is no call to record.
   const rpc::CallId id = engine_.call_until(
       *cfg_->oqs, quorum::Kind::kWrite,
       /*build=*/
@@ -395,10 +393,8 @@ void IqsServer::start_or_extend_ensure(ObjectId o) {
         en2.sent_invals = true;
         return msg::DqInval{o, obj(o).last_write};
       },
-      /*on_reply=*/
-      [](NodeId, const msg::Payload&) {
-        // Acks are applied in handle_inval_ack before the engine sees them.
-      },
+      // Acks are applied in handle_inval_ack before the engine sees them.
+      /*on_reply=*/nullptr,
       /*done=*/
       [this, o] {
         auto it = ensures_.find(o);
@@ -406,9 +402,8 @@ void IqsServer::start_or_extend_ensure(ObjectId o) {
         return owq_invalid(o, it->second.target);
       },
       /*on_complete=*/
-      [this, o, completed](bool ok) {
+      [this, o](bool ok) {
         DQ_INVARIANT(ok, "ensure machines have no deadline; cannot fail");
-        *completed = true;
         finish_ensure(o);
       },
       [this] {
@@ -420,13 +415,13 @@ void IqsServer::start_or_extend_ensure(ObjectId o) {
         return opts;
       }());
   if (world_.tracing()) {
-    world_.trace(self_, "write", *completed
+    world_.trace(self_, "write", id == 0
                                      ? "write-suppress obj " +
                                            std::to_string(o.value())
                                      : "write-through obj " +
                                            std::to_string(o.value()));
   }
-  if (!*completed) ensures_[o].call = id;
+  if (id != 0) ensures_[o].call = id;
 }
 
 void IqsServer::finish_ensure(ObjectId o) {

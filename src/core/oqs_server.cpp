@@ -182,7 +182,6 @@ void OqsServer::start_read_machine(std::uint64_t key) {
   const ObjectId o = it->second.object;
   const VolumeId v = cfg_->volumes.volume_of(o);
 
-  auto completed = std::make_shared<bool>(false);
   const rpc::CallId id = engine_.call_until(
       *cfg_->iqs, quorum::Kind::kRead,
       /*build=*/
@@ -196,15 +195,11 @@ void OqsServer::start_read_machine(std::uint64_t key) {
         if (!obj_ok) return msg::DqObjRenew{o, local_now()};
         return std::nullopt;
       },
-      /*on_reply=*/[](NodeId, const msg::Payload&) {},
+      /*on_reply=*/nullptr,
       /*done=*/[this, o] { return condition_c(o); },
-      /*on_complete=*/
-      [this, key, completed](bool ok) {
-        *completed = true;
-        finish_read(key, ok);
-      },
+      /*on_complete=*/[this, key](bool ok) { finish_read(key, ok); },
       cfg_->rpc);
-  if (!*completed) {
+  if (id != 0) {  // 0: condition C already held and the read finished
     if (auto it2 = pending_.find(key); it2 != pending_.end()) {
       it2->second.call = id;
     }
@@ -331,7 +326,7 @@ void OqsServer::prefetch(VolumeId v, std::function<void(bool ok)> done) {
       [this, v](NodeId) -> std::optional<msg::Payload> {
         return msg::DqVolFetch{v, local_now()};
       },
-      [](NodeId, const msg::Payload&) {},
+      nullptr,
       [done = std::move(done)](bool ok) { done(ok); }, opts);
 }
 
@@ -385,7 +380,7 @@ void OqsServer::maybe_schedule_proactive_renewal(VolumeId v) {
           }
           return msg::DqVolRenew{v, local_now()};
         },
-        [](NodeId, const msg::Payload&) {},
+        nullptr,
         [this, v] {
           std::set<NodeId> held;
           for (NodeId i : cfg_->iqs->members()) {

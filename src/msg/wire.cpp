@@ -121,47 +121,6 @@ const char* payload_type_name(std::size_t index) {
 
 namespace {
 
-// Whether an alternative is server-to-server is a property of the *type*,
-// so it is answered from a constexpr table indexed by the variant index --
-// this sits inside the per-message accounting on the send hot path, where a
-// std::visit dispatch is measurable.
-template <typename T>
-constexpr bool is_s2s_type() {
-  return std::is_same_v<T, DqVolRenew> || std::is_same_v<T, DqVolRenewReply> ||
-         std::is_same_v<T, DqVolRenewAck> ||
-         std::is_same_v<T, DqVolRenewBatch> ||
-         std::is_same_v<T, DqVolRenewBatchReply> ||
-         std::is_same_v<T, DqVolRenewAckBatch> ||
-         std::is_same_v<T, DqObjRenew> || std::is_same_v<T, DqObjRenewReply> ||
-         std::is_same_v<T, DqVolFetch> || std::is_same_v<T, DqVolFetchReply> ||
-         std::is_same_v<T, DqVolObjRenew> ||
-         std::is_same_v<T, DqVolObjRenewReply> || std::is_same_v<T, DqInval> ||
-         std::is_same_v<T, DqInvalAck> || std::is_same_v<T, PbSync> ||
-         std::is_same_v<T, PbSyncAck> || std::is_same_v<T, GossipUpdate> ||
-         std::is_same_v<T, AeDigest> || std::is_same_v<T, AeUpdates> ||
-         std::is_same_v<T, HermesInv> || std::is_same_v<T, HermesInvAck> ||
-         std::is_same_v<T, HermesVal> || std::is_same_v<T, HermesValAck> ||
-         std::is_same_v<T, DynHandoff> || std::is_same_v<T, DynHandoffAck> ||
-         std::is_same_v<T, DynRepair>;
-}
-
-template <std::size_t... I>
-constexpr std::array<bool, sizeof...(I)> make_s2s_table(
-    std::index_sequence<I...>) {
-  return {is_s2s_type<std::variant_alternative_t<I, Payload>>()...};
-}
-
-constexpr auto kS2S =
-    make_s2s_table(std::make_index_sequence<payload_type_count()>{});
-
-}  // namespace
-
-bool is_server_to_server(const Payload& p) {
-  return kS2S[p.index()];
-}
-
-namespace {
-
 // Sizing building blocks (serialized-representation estimates).
 constexpr std::size_t kHeader = 32;      // src, dst, rpc id, type tag, flags
 constexpr std::size_t kId = 8;           // object / volume id

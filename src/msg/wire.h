@@ -453,12 +453,6 @@ using Payload = std::variant<
 // human-readable name only at report time.
 [[nodiscard]] const char* payload_type_name(std::size_t index);
 
-// True for message types that are internal to the replication machinery
-// (server <-> server), false for client-facing request/reply traffic.  The
-// Figure 9 experiments count *all* messages; this split feeds the per-class
-// breakdown the benches print alongside.
-[[nodiscard]] bool is_server_to_server(const Payload& p);
-
 // Approximate serialized size in bytes: a fixed per-message header plus the
 // payload's variable-length fields.  The paper's overhead model weighs all
 // messages equally; byte accounting is the finer-grained extension the

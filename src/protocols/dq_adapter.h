@@ -1,9 +1,6 @@
-// Adapter exposing the dual-quorum client through the protocol-independent
-// ServiceClient interface used by the workload driver and examples.
+// The dual-quorum clients under the protocols:: names the examples and
+// benches use.  Both implement ServiceClient directly.
 #pragma once
-
-#include <memory>
-#include <utility>
 
 #include "core/dq_atomic_client.h"
 #include "core/dq_client.h"
@@ -11,48 +8,9 @@
 
 namespace dq::protocols {
 
-class DqServiceClient final : public ServiceClient {
- public:
-  DqServiceClient(sim::World& world, NodeId self,
-                  std::shared_ptr<const core::DqConfig> cfg)
-      : impl_(world, self, std::move(cfg)) {}
-
-  void read(ObjectId o, ReadCallback done) override {
-    impl_.read(o, std::move(done));
-  }
-  void write(ObjectId o, Value value, WriteCallback done) override {
-    impl_.write(o, std::move(value), std::move(done));
-  }
-  bool on_message(const sim::Envelope& env) override {
-    return impl_.on_message(env);
-  }
-  void cancel_all() override { impl_.cancel_all(); }
-
- private:
-  core::DqClient impl_;
-};
-
+using DqServiceClient = core::DqClient;
 // The atomic-semantics variant (paper section 6 future work): reads pay a
 // write-back confirmation round; see core/dq_atomic_client.h.
-class DqAtomicServiceClient final : public ServiceClient {
- public:
-  DqAtomicServiceClient(sim::World& world, NodeId self,
-                        std::shared_ptr<const core::DqConfig> cfg)
-      : impl_(world, self, std::move(cfg)) {}
-
-  void read(ObjectId o, ReadCallback done) override {
-    impl_.read(o, std::move(done));
-  }
-  void write(ObjectId o, Value value, WriteCallback done) override {
-    impl_.write(o, std::move(value), std::move(done));
-  }
-  bool on_message(const sim::Envelope& env) override {
-    return impl_.on_message(env);
-  }
-  void cancel_all() override { impl_.cancel_all(); }
-
- private:
-  core::DqAtomicClient impl_;
-};
+using DqAtomicServiceClient = core::DqAtomicClient;
 
 }  // namespace dq::protocols

@@ -100,7 +100,7 @@ void HermesServer::coordinate(ObjectId o, Value value, LogicalClock lc,
       [o, value, lc, epoch = epoch_](NodeId) -> std::optional<msg::Payload> {
         return msg::HermesInv{o, value, lc, epoch};
       },
-      [](NodeId, const msg::Payload&) {},
+      nullptr,
       [this, o, value, lc, client = std::move(client)](bool ok) {
         if (client) {
           const auto key = std::make_pair(client->src, client->rpc_id);
@@ -121,7 +121,7 @@ void HermesServer::coordinate(ObjectId o, Value value, LogicalClock lc,
             [o, lc, epoch = epoch_](NodeId) -> std::optional<msg::Payload> {
               return msg::HermesVal{o, lc, epoch};
             },
-            [](NodeId, const msg::Payload&) {}, [](bool) {}, val_opts);
+            nullptr, nullptr, val_opts);
       },
       cfg_->rpc);
 }
@@ -225,37 +225,22 @@ void HermesServer::on_recover() {
   }
 }
 
-HermesClient::HermesClient(sim::World& world, NodeId self, NodeId target,
-                           rpc::QrpcOptions opts)
-    : world_(world), self_(self), engine_(world_, self_), opts_(opts),
-      target_only_(quorum::ThresholdQuorum::majority({target})) {}
-
 void HermesClient::read(ObjectId o, ReadCallback done) {
-  auto best = std::make_shared<VersionedValue>();
-  engine_.call(
-      *target_only_, quorum::Kind::kRead,
-      [o](NodeId) -> std::optional<msg::Payload> { return msg::HermesRead{o}; },
-      [best](NodeId, const msg::Payload& p) {
-        if (const auto* r = std::get_if<msg::HermesReadReply>(&p)) {
-          *best = {r->value, r->clock};
-        }
+  read_latest(
+      *target_only_, msg::HermesRead{o},
+      [](const msg::Payload& p) {
+        return std::get_if<msg::HermesReadReply>(&p);
       },
-      [best, done = std::move(done)](bool ok) { done(ok, *best); }, opts_);
+      std::move(done));
 }
 
 void HermesClient::write(ObjectId o, Value value, WriteCallback done) {
-  auto got = std::make_shared<LogicalClock>();
-  engine_.call(
-      *target_only_, quorum::Kind::kWrite,
-      [o, value = std::move(value)](NodeId) -> std::optional<msg::Payload> {
-        return msg::HermesWrite{o, value};
+  acked_write(
+      *target_only_, msg::HermesWrite{o, std::move(value)},
+      [](const msg::Payload& p) {
+        return std::get_if<msg::HermesWriteAck>(&p);
       },
-      [got](NodeId, const msg::Payload& p) {
-        if (const auto* r = std::get_if<msg::HermesWriteAck>(&p)) {
-          *got = r->clock;
-        }
-      },
-      [got, done = std::move(done)](bool ok) { done(ok, *got); }, opts_);
+      std::move(done));
 }
 
 }  // namespace dq::protocols

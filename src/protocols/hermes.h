@@ -38,9 +38,9 @@
 #include <utility>
 #include <vector>
 
-#include "protocols/service_client.h"
 #include "quorum/quorum.h"
 #include "rpc/qrpc.h"
+#include "rpc/register_client.h"
 #include "store/object_store.h"
 #include "store/wal.h"
 
@@ -114,23 +114,17 @@ class HermesServer {
 
 // Thin service client: single-RPC read/write against the colocated replica,
 // which does all coordination.
-class HermesClient final : public ServiceClient {
+class HermesClient final : public rpc::RegisterClient {
  public:
   HermesClient(sim::World& world, NodeId self, NodeId target,
-               rpc::QrpcOptions opts = {});
+               rpc::QrpcOptions opts = {})
+      : RegisterClient(world, self, opts),
+        target_only_(quorum::ThresholdQuorum::majority({target})) {}
 
   void read(ObjectId o, ReadCallback done) override;
   void write(ObjectId o, Value value, WriteCallback done) override;
-  bool on_message(const sim::Envelope& env) override {
-    return engine_.on_reply(env);
-  }
-  void cancel_all() override { engine_.cancel_all(); }
 
  private:
-  sim::World& world_;
-  NodeId self_;
-  rpc::QrpcEngine engine_;
-  rpc::QrpcOptions opts_;
   std::shared_ptr<const quorum::QuorumSystem> target_only_;
 };
 

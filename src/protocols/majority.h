@@ -10,9 +10,8 @@
 #include <memory>
 #include <optional>
 
-#include "protocols/service_client.h"
 #include "quorum/quorum.h"
-#include "rpc/qrpc.h"
+#include "rpc/register_client.h"
 #include "store/object_store.h"
 #include "store/wal.h"
 
@@ -55,32 +54,18 @@ class MajorityServer {
   obs::Counter* m_recoveries_ = nullptr;
 };
 
-class MajorityClient final : public ServiceClient {
+class MajorityClient final : public rpc::RegisterClient {
  public:
   MajorityClient(sim::World& world, NodeId self,
                  std::shared_ptr<const quorum::QuorumSystem> system,
                  rpc::QrpcOptions opts = {})
-      : world_(world), self_(self), system_(std::move(system)),
-        engine_(world_, self_), opts_(opts), writer_id_(self_.value()) {}
+      : RegisterClient(world, self, opts), system_(std::move(system)) {}
 
   void read(ObjectId o, ReadCallback done) override;
   void write(ObjectId o, Value value, WriteCallback done) override;
-  bool on_message(const sim::Envelope& env) override {
-    return engine_.on_reply(env);
-  }
-  void cancel_all() override { engine_.cancel_all(); }
 
  private:
-  sim::World& world_;
-  NodeId self_;
   std::shared_ptr<const quorum::QuorumSystem> system_;
-  rpc::QrpcEngine engine_;
-  rpc::QrpcOptions opts_;
-  ClientId writer_id_;
-  // Highest clock this writer has issued; keeps pipelined same-writer
-  // writes strictly ordered (writer-id tie-breaking only disambiguates
-  // different writers).
-  LogicalClock issued_;
 };
 
 }  // namespace dq::protocols

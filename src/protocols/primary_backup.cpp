@@ -152,7 +152,7 @@ void PbServer::propagate(ObjectId o, const Value& v, LogicalClock lc,
       [o, v, lc](NodeId) -> std::optional<msg::Payload> {
         return msg::PbSync{o, v, lc};
       },
-      [](NodeId, const msg::Payload&) {},
+      nullptr,
       [this, o, lc, client, rpc](bool ok) {
         DQ_INVARIANT(ok, "sync propagation has no deadline");
         world_.send_tagged(self_, client, rpc, msg::PbWriteAck{o, lc},
@@ -162,30 +162,17 @@ void PbServer::propagate(ObjectId o, const Value& v, LogicalClock lc,
 }
 
 void PbClient::read(ObjectId o, ReadCallback done) {
-  auto best = std::make_shared<VersionedValue>();
-  engine_.call(
-      *primary_only_, quorum::Kind::kRead,
-      [o](NodeId) -> std::optional<msg::Payload> { return msg::PbRead{o}; },
-      [best](NodeId, const msg::Payload& p) {
-        if (const auto* r = std::get_if<msg::PbReadReply>(&p)) {
-          *best = {r->value, r->clock};
-        }
-      },
-      [best, done = std::move(done)](bool ok) { done(ok, *best); },
-      cfg_->rpc);
+  read_latest(
+      *primary_only_, msg::PbRead{o},
+      [](const msg::Payload& p) { return std::get_if<msg::PbReadReply>(&p); },
+      std::move(done));
 }
 
 void PbClient::write(ObjectId o, Value value, WriteCallback done) {
-  auto got = std::make_shared<LogicalClock>();
-  engine_.call(
-      *primary_only_, quorum::Kind::kWrite,
-      [o, value](NodeId) -> std::optional<msg::Payload> {
-        return msg::PbWrite{o, value};
-      },
-      [got](NodeId, const msg::Payload& p) {
-        if (const auto* r = std::get_if<msg::PbWriteAck>(&p)) *got = r->clock;
-      },
-      [got, done = std::move(done)](bool ok) { done(ok, *got); }, cfg_->rpc);
+  acked_write(
+      *primary_only_, msg::PbWrite{o, std::move(value)},
+      [](const msg::Payload& p) { return std::get_if<msg::PbWriteAck>(&p); },
+      std::move(done));
 }
 
 }  // namespace dq::protocols

@@ -15,9 +15,9 @@
 #include <utility>
 #include <vector>
 
-#include "protocols/service_client.h"
 #include "quorum/quorum.h"
 #include "rpc/qrpc.h"
+#include "rpc/register_client.h"
 #include "store/object_store.h"
 #include "store/wal.h"
 
@@ -67,25 +67,17 @@ class PbServer {
   obs::Counter* m_recoveries_ = nullptr;
 };
 
-class PbClient final : public ServiceClient {
+class PbClient final : public rpc::RegisterClient {
  public:
-  PbClient(sim::World& world, NodeId self, std::shared_ptr<const PbConfig> cfg)
-      : world_(world), self_(self), cfg_(std::move(cfg)),
-        engine_(world_, self_),
-        primary_only_(quorum::ThresholdQuorum::majority({cfg_->primary})) {}
+  PbClient(sim::World& world, NodeId self,
+           const std::shared_ptr<const PbConfig>& cfg)
+      : RegisterClient(world, self, cfg->rpc),
+        primary_only_(quorum::ThresholdQuorum::majority({cfg->primary})) {}
 
   void read(ObjectId o, ReadCallback done) override;
   void write(ObjectId o, Value value, WriteCallback done) override;
-  bool on_message(const sim::Envelope& env) override {
-    return engine_.on_reply(env);
-  }
-  void cancel_all() override { engine_.cancel_all(); }
 
  private:
-  sim::World& world_;
-  NodeId self_;
-  std::shared_ptr<const PbConfig> cfg_;
-  rpc::QrpcEngine engine_;
   std::shared_ptr<const quorum::QuorumSystem> primary_only_;
 };
 

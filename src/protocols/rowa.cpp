@@ -1,7 +1,6 @@
 #include "protocols/rowa.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "sim/processing.h"
@@ -32,32 +31,24 @@ void RowaServer::handle(const sim::Envelope& env) {
 }
 
 void RowaClient::read(ObjectId o, ReadCallback done) {
-  auto best = std::make_shared<VersionedValue>();
-  engine_.call(
-      *system_, quorum::Kind::kRead,
-      [o](NodeId) -> std::optional<msg::Payload> { return msg::RowaRead{o}; },
-      [this, best](NodeId, const msg::Payload& p) {
-        if (const auto* r = std::get_if<msg::RowaReadReply>(&p)) {
-          if (r->clock >= best->clock) *best = {r->value, r->clock};
-          seen_ = std::max(seen_, r->clock);
-        }
+  read_latest(
+      *system_, msg::RowaRead{o},
+      [this](const msg::Payload& p) {
+        const auto* r = std::get_if<msg::RowaReadReply>(&p);
+        if (r != nullptr) seen_ = std::max(seen_, r->clock);
+        return r;
       },
-      [best, done = std::move(done)](bool ok) { done(ok, *best); }, opts_);
+      std::move(done));
 }
 
 void RowaClient::write(ObjectId o, Value value, WriteCallback done) {
   // One round trip: stamp from the colocated replica's clock (see header).
   LogicalClock base = seen_;
   if (local_ != nullptr) base = std::max(base, local_->store().clock_of(o));
-  const LogicalClock lc = base.advanced_by(writer_id_);
+  const LogicalClock lc = base.advanced_by(writer());
   seen_ = std::max(seen_, lc);
-  engine_.call(
-      *system_, quorum::Kind::kWrite,
-      [o, lc, value = std::move(value)](NodeId) -> std::optional<msg::Payload> {
-        return msg::RowaWrite{o, value, lc};
-      },
-      [](NodeId, const msg::Payload&) {},
-      [lc, done = std::move(done)](bool ok) { done(ok, lc); }, opts_);
+  write_at(*system_, msg::RowaWrite{o, std::move(value), lc}, lc,
+           std::move(done));
 }
 
 }  // namespace dq::protocols

@@ -95,37 +95,20 @@ void RowaAsyncServer::handle(const sim::Envelope& env) {
   }
 }
 
-RowaAsyncClient::RowaAsyncClient(sim::World& world, NodeId self, NodeId target,
-                                 rpc::QrpcOptions opts)
-    : world_(world), self_(self), engine_(world_, self_), opts_(opts),
-      target_only_(quorum::ThresholdQuorum::majority({target})) {}
-
 void RowaAsyncClient::read(ObjectId o, ReadCallback done) {
-  auto best = std::make_shared<VersionedValue>();
-  engine_.call(
-      *target_only_, quorum::Kind::kRead,
-      [o](NodeId) -> std::optional<msg::Payload> { return msg::AsyncRead{o}; },
-      [best](NodeId, const msg::Payload& p) {
-        if (const auto* r = std::get_if<msg::AsyncReadReply>(&p)) {
-          *best = {r->value, r->clock};
-        }
+  read_latest(
+      *target_only_, msg::AsyncRead{o},
+      [](const msg::Payload& p) {
+        return std::get_if<msg::AsyncReadReply>(&p);
       },
-      [best, done = std::move(done)](bool ok) { done(ok, *best); }, opts_);
+      std::move(done));
 }
 
 void RowaAsyncClient::write(ObjectId o, Value value, WriteCallback done) {
-  auto got = std::make_shared<LogicalClock>();
-  engine_.call(
-      *target_only_, quorum::Kind::kWrite,
-      [o, value = std::move(value)](NodeId) -> std::optional<msg::Payload> {
-        return msg::AsyncWrite{o, value};
-      },
-      [got](NodeId, const msg::Payload& p) {
-        if (const auto* r = std::get_if<msg::AsyncWriteAck>(&p)) {
-          *got = r->clock;
-        }
-      },
-      [got, done = std::move(done)](bool ok) { done(ok, *got); }, opts_);
+  acked_write(
+      *target_only_, msg::AsyncWrite{o, std::move(value)},
+      [](const msg::Payload& p) { return std::get_if<msg::AsyncWriteAck>(&p); },
+      std::move(done));
 }
 
 }  // namespace dq::protocols

@@ -13,9 +13,8 @@
 #include <memory>
 #include <vector>
 
-#include "protocols/service_client.h"
 #include "quorum/quorum.h"
-#include "rpc/qrpc.h"
+#include "rpc/register_client.h"
 #include "store/object_store.h"
 
 namespace dq::protocols {
@@ -55,23 +54,17 @@ class RowaAsyncServer {
 
 // Client: single-RPC read/write against one replica (the colocated one when
 // the front end runs on a replica node).
-class RowaAsyncClient final : public ServiceClient {
+class RowaAsyncClient final : public rpc::RegisterClient {
  public:
   RowaAsyncClient(sim::World& world, NodeId self, NodeId target,
-                  rpc::QrpcOptions opts = {});
+                  rpc::QrpcOptions opts = {})
+      : RegisterClient(world, self, opts),
+        target_only_(quorum::ThresholdQuorum::majority({target})) {}
 
   void read(ObjectId o, ReadCallback done) override;
   void write(ObjectId o, Value value, WriteCallback done) override;
-  bool on_message(const sim::Envelope& env) override {
-    return engine_.on_reply(env);
-  }
-  void cancel_all() override { engine_.cancel_all(); }
 
  private:
-  sim::World& world_;
-  NodeId self_;
-  rpc::QrpcEngine engine_;
-  rpc::QrpcOptions opts_;
   std::shared_ptr<const quorum::QuorumSystem> target_only_;
 };
 

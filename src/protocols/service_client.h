@@ -1,34 +1,12 @@
-// The protocol-independent service-client interface.
-//
-// Every replication protocol in the repository exposes the same read/write
-// register API to the service layer, so the workload driver, the examples,
-// and the consistency checker run unchanged across DQVL and the four
-// baselines.
+// The protocol-independent service-client interface, under the name the
+// workload driver and the examples use.  It lives in rpc/register_client.h,
+// beside the register operations the quorum-based clients implement it with.
 #pragma once
 
-#include <functional>
-
-#include "common/ids.h"
-#include "common/version.h"
-#include "sim/world.h"
+#include "rpc/register_client.h"
 
 namespace dq::protocols {
 
-class ServiceClient {
- public:
-  using ReadCallback = std::function<void(bool ok, VersionedValue)>;
-  using WriteCallback = std::function<void(bool ok, LogicalClock)>;
-
-  virtual ~ServiceClient() = default;
-
-  virtual void read(ObjectId o, ReadCallback done) = 0;
-  virtual void write(ObjectId o, Value value, WriteCallback done) = 0;
-
-  // Host actors forward incoming envelopes here; returns true if consumed.
-  virtual bool on_message(const sim::Envelope& env) = 0;
-
-  // Abandon in-flight operations (host crashed).
-  virtual void cancel_all() = 0;
-};
+using ServiceClient = rpc::ServiceClient;
 
 }  // namespace dq::protocols

@@ -24,10 +24,8 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
-#include <vector>
 
 #include "common/ids.h"
 #include "msg/wire.h"
@@ -45,7 +43,8 @@ struct QrpcOptions {
   sim::Duration deadline = sim::kTimeInfinity;
 };
 
-// Identifies an in-flight call, for cancellation.
+// Identifies an in-flight call, for pokes and cancellation: the rpc id its
+// requests carry.  0 is never a live call.
 using CallId = std::uint64_t;
 
 class QrpcEngine {
@@ -55,7 +54,7 @@ class QrpcEngine {
   // invalid).
   using BuildRequest = std::function<std::optional<msg::Payload>(NodeId)>;
   // A reply arrived from `src`.  The callback updates caller state; the
-  // engine then re-evaluates `done`.
+  // engine then re-evaluates `done`.  May be empty (acks carry nothing).
   using OnReply = std::function<void(NodeId src, const msg::Payload&)>;
   using Done = std::function<bool()>;
   using OnComplete = std::function<void(bool success)>;
@@ -81,7 +80,8 @@ class QrpcEngine {
 
   // DQVL variation: complete when `done()` holds.  `done` is evaluated
   // immediately (the call may complete without sending anything), after
-  // every reply, and on poke().
+  // every reply, and on poke().  Returns 0 when the call already completed
+  // before returning, so callers never record a finished call's id.
   CallId call_until(const quorum::QuorumSystem& system, quorum::Kind kind,
                     BuildRequest build, OnReply on_reply, Done done,
                     OnComplete on_complete, QrpcOptions opts = {});
@@ -99,35 +99,34 @@ class QrpcEngine {
 
   [[nodiscard]] std::size_t inflight() const { return calls_.size(); }
 
-  // Nodes that have replied to the given call so far (empty set if done).
-  [[nodiscard]] std::set<NodeId> responders(CallId id) const;
-
  private:
   struct Call {
-    RequestId rpc_id;
     const quorum::QuorumSystem* system = nullptr;
     quorum::Kind kind{};
     BuildRequest build;
     OnReply reply_cb;
-    Done done;
+    Done done;  // empty: the classic form (a `kind` quorum has responded)
     OnComplete complete_cb;
     QrpcOptions opts;
     sim::Duration cur_timeout = 0;
     sim::Time deadline_at = sim::kTimeInfinity;
     std::set<NodeId> responded;
     sim::TimerToken retry_timer;
-  };
 
-  void transmit_round(CallId id);
-  void arm_retry(CallId id);
-  void finish(CallId id, bool success);
-  void check_done(CallId id);
+    [[nodiscard]] bool satisfied() const {
+      return done ? done() : system->is_quorum(kind, responded);
+    }
+  };
+  using Calls = std::map<CallId, Call>;
+
+  void transmit_round(CallId id, Call& c);
+  // Returns false when the call failed on the spot (its deadline passed).
+  bool arm_retry(CallId id, Call& c);
+  void finish(Calls::iterator it, bool success);
 
   sim::World& world_;
   NodeId self_;
-  CallId next_call_ = 1;
-  std::map<CallId, Call> calls_;
-  std::map<std::uint64_t, CallId> by_rpc_id_;
+  Calls calls_;  // keyed by rpc id
   // Engine-shared instruments (one set of names across all nodes; the
   // registry hands every engine the same underlying counters).
   obs::Counter* m_calls_;

@@ -81,12 +81,8 @@ Duration Topology::one_way_delay(LinkClass link, Rng& rng) const {
 }
 
 std::uint64_t MessageStats::count(const msg::Payload& p) {
-  ++total_;
-  const std::uint64_t size = msg::approximate_size(p);
-  bytes_ += size;
-  if (msg::is_server_to_server(p)) ++s2s_;
   ++by_type_[p.index()];
-  return size;
+  return msg::approximate_size(p);
 }
 
 std::uint64_t MessageStats::by_type(const std::string& name) const {
@@ -105,9 +101,6 @@ std::map<std::string, std::uint64_t> MessageStats::table() const {
 }
 
 void MessageStats::merge(const MessageStats& other) {
-  total_ += other.total_;
-  bytes_ += other.bytes_;
-  s2s_ += other.s2s_;
   for (std::size_t i = 0; i < by_type_.size(); ++i) {
     by_type_[i] += other.by_type_[i];
   }

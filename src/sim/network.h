@@ -151,18 +151,16 @@ class FaultPlane {
   double dup_ = 0.0;
 };
 
-// Message accounting for the Figure 9 overhead experiments.  Counts every
-// message handed to the network (including retransmissions and messages that
-// are subsequently lost -- they were sent).
+// Per-type message accounting for the Figure 9 overhead experiments.
+// Counts every message handed to the network (including retransmissions
+// and messages that are subsequently lost -- they were sent).  Totals live
+// in the metrics registry (net.sent, net.bytes); this is the by-type split.
 class MessageStats {
  public:
   // Returns the approximate wire size of the counted message, so callers
   // feeding other accounting (the metrics registry) don't size it twice.
   std::uint64_t count(const msg::Payload& p);
 
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  [[nodiscard]] std::uint64_t total_bytes() const { return bytes_; }
-  [[nodiscard]] std::uint64_t server_to_server() const { return s2s_; }
   [[nodiscard]] std::uint64_t by_type(const std::string& name) const;
   // Name-keyed table for reports.  Built on demand: the hot-path counter is
   // a dense array indexed by the payload's variant index (no string
@@ -174,9 +172,6 @@ class MessageStats {
   void merge(const MessageStats& other);
 
  private:
-  std::uint64_t total_ = 0;
-  std::uint64_t bytes_ = 0;
-  std::uint64_t s2s_ = 0;
   std::array<std::uint64_t, msg::payload_type_count()> by_type_{};
 };
 

@@ -113,7 +113,6 @@ struct PartitionState {
   Tracer tracer;
   std::uint64_t next_rpc_id = 0;  // low bits of this partition's rpc ids
   std::uint64_t send_seq = 0;     // feeds Mail::seq
-  std::uint64_t dropped = 0;
   std::size_t executed_in_round = 0;
   // outbox[dst]: mail this partition produced for partition dst this round.
   // Single producer (this partition's worker), single consumer (dst's merge

@@ -13,9 +13,7 @@ World::World(Topology topology, std::uint64_t seed, Parallelism parallel)
       actors_(topo_.num_nodes(), nullptr),
       clocks_(topo_.num_nodes()),
       crashed_(topo_.num_nodes(), false),
-      incarnation_(topo_.num_nodes(), 0),
-      sent_by_(topo_.num_nodes(), 0),
-      received_by_(topo_.num_nodes(), 0) {
+      incarnation_(topo_.num_nodes(), 0) {
   plan_ = par::make_partition_plan(topo_, parallel.partitions);
   // Lanes must exist before any instrument registers (including the net
   // counters right below).
@@ -78,12 +76,6 @@ MessageStats World::message_stats() const {
   return merged;
 }
 
-std::uint64_t World::dropped_messages() const {
-  std::uint64_t total = 0;
-  for (const auto& st : parts_) total += st->dropped;
-  return total;
-}
-
 std::size_t World::executed_events() const {
   std::size_t total = barrier_.executed_events();
   for (const auto& st : parts_) total += st->sched->executed_events();
@@ -97,7 +89,6 @@ void World::send_tagged(NodeId src, NodeId dst, RequestId rpc_id,
   }
   par::PartitionState& st = active_state();
   const std::uint64_t size = st.stats.count(body);
-  ++sent_by_.at(src.value());
   m_sent_->inc();
   m_bytes_->inc(size);
   const LinkClass link = topo_.link_class(src, dst);
@@ -111,7 +102,6 @@ void World::send_tagged(NodeId src, NodeId dst, RequestId rpc_id,
                        std::to_string(dst.value()));
   }
   if (!faults_.reachable(src, dst)) {
-    ++st.dropped;
     m_dropped_->inc();
     return;
   }
@@ -122,7 +112,6 @@ void World::send_tagged(NodeId src, NodeId dst, RequestId rpc_id,
   for (int c = 0; c < copies; ++c) {
     if (faults_.loss_probability() > 0.0 &&
         st.rng.chance(faults_.loss_probability())) {
-      ++st.dropped;
       m_dropped_->inc();
       continue;
     }
@@ -169,13 +158,11 @@ void World::deliver(Envelope& env) {
   // started while the message was in flight eats it (a message cannot
   // outrun a partition in this model; good enough for the experiments).
   if (!faults_.is_up(env.dst) || crashed_.at(idx)) {
-    ++active_state().dropped;
     m_dropped_->inc();
     return;
   }
   Actor* a = actors_.at(idx);
   DQ_INVARIANT(a != nullptr, "message addressed to a node with no actor");
-  ++received_by_.at(idx);
   m_delivered_->inc();
   a->on_message(env);
 }

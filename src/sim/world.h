@@ -218,10 +218,11 @@ class World {
 
   // --- introspection ---------------------------------------------------------
   [[nodiscard]] const Topology& topology() const { return topo_; }
-  // A snapshot merged over the per-partition lanes, taken between runs.  By
-  // value: read it again after running more events.
+  // Per-type message counts merged over the partitions, taken between
+  // runs.  By value: read it again after running more events.  Totals
+  // (sent, bytes, delivered, dropped, per link class) are the net.*
+  // counters in metrics().
   [[nodiscard]] MessageStats message_stats() const;
-  [[nodiscard]] std::uint64_t dropped_messages() const;
   // Events executed so far, summed over every partition's scheduler and the
   // barrier queue.
   [[nodiscard]] std::size_t executed_events() const;
@@ -237,16 +238,6 @@ class World {
   [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] const obs::MetricsRegistry& metrics() const {
     return metrics_;
-  }
-
-  // Per-node load: messages this node sent / had delivered to it.  The
-  // grid-quorum experiments use this to show load spreading ("reduce the
-  // overall system load", paper section 6).
-  [[nodiscard]] std::uint64_t sent_by(NodeId n) const {
-    return sent_by_.at(n.value());
-  }
-  [[nodiscard]] std::uint64_t received_by(NodeId n) const {
-    return received_by_.at(n.value());
   }
 
  private:
@@ -302,8 +293,6 @@ class World {
   std::vector<bool> crashed_;
   // Incarnation numbers invalidate pre-crash timers cheaply.
   std::vector<std::uint64_t> incarnation_;
-  std::vector<std::uint64_t> sent_by_;
-  std::vector<std::uint64_t> received_by_;
   // Barrier events (schedule_global), queued at absolute World::now()-based
   // times; this queue's own clock only trails the partitions'.
   Scheduler barrier_;

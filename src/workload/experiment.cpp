@@ -225,10 +225,9 @@ ExperimentResult Deployment::collect() {
       ++r.completed_writes;
     }
   }
-  const sim::MessageStats stats = world_->message_stats();
-  r.total_messages = stats.total();
-  r.total_bytes = stats.total_bytes();
-  r.message_table = stats.table();
+  r.total_messages = world_->metrics().counter("net.sent").value();
+  r.total_bytes = world_->metrics().counter("net.bytes").value();
+  r.message_table = world_->message_stats().table();
   const auto total = r.total_requests();
   if (total != 0) {
     r.messages_per_request = static_cast<double>(r.total_messages) /

@@ -11,7 +11,8 @@
 #include <vector>
 
 #include "common/assert.h"
-#include "protocols/dq_adapter.h"
+#include "core/dq_atomic_client.h"
+#include "core/dq_client.h"
 #include "protocols/dynamo.h"
 #include "protocols/hermes.h"
 #include "protocols/majority.h"
@@ -77,10 +78,9 @@ void build_dqvl(Deployment& dep, DqvlVariant variant) {
     // Front end (service client) -- must see replies first.
     std::shared_ptr<protocols::ServiceClient> sc;
     if (variant == DqvlVariant::kAtomic) {
-      sc = std::make_shared<protocols::DqAtomicServiceClient>(world, n,
-                                                              rt.cfg);
+      sc = std::make_shared<core::DqAtomicClient>(world, n, rt.cfg);
     } else {
-      sc = std::make_shared<protocols::DqServiceClient>(world, n, rt.cfg);
+      sc = std::make_shared<core::DqClient>(world, n, rt.cfg);
     }
     dep.install_front_end(i, std::move(sc));
 

@@ -183,11 +183,12 @@ TEST(RowaAsync, AntiEntropyConvergesReplicasAfterLoss) {
   // Convergence is observed indirectly: one more pass of reads everywhere
   // would need fresh clients; instead assert no gossip remains undelivered
   // by checking the world went quiet.
-  const auto before = dep.world().message_stats().total();
+  obs::Counter& sent = dep.world().metrics().counter("net.sent");
+  const auto before = sent.value();
   dep.world().run_for(sim::seconds(10));
   // Only periodic anti-entropy digests should remain (one per server per
   // second, possibly answered).
-  const auto after = dep.world().message_stats().total();
+  const auto after = sent.value();
   EXPECT_LE(after - before, 9u * 10u * 2u);
 }
 

@@ -39,6 +39,13 @@ const Cell kCells[] = {
     {"dqvl", "dqvl_crash", 13, true},
     {"dqvl", "dqvl_crash", 29, true},
     {"majority", "majority_crash", 13, true},
+    // The remaining closed-loop protocols, one seed each.
+    {"rowa", "rowa", 7, false},
+    {"rowa-async", "rowa-async", 7, false},
+    {"pb", "pb", 7, false},
+    {"pb-sync", "pb-sync", 7, false},
+    {"dq-basic", "dq-basic", 7, false},
+    {"dqvl-atomic", "dqvl-atomic", 7, false},
 };
 
 std::vector<std::string> reports_at(std::size_t jobs) {

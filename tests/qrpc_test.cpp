@@ -1,13 +1,17 @@
 // QRPC engine tests: quorum completion, retransmission to fresh quorums
 // under loss and dead nodes, deadlines, pokes, per-node request builders,
-// and loopback request/reply discrimination.
+// loopback request/reply discrimination, and the read-latest register
+// operation built on the engine.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "quorum/quorum.h"
 #include "rpc/qrpc.h"
+#include "rpc/register_client.h"
 #include "sim/world.h"
 
 namespace dq::rpc {
@@ -24,25 +28,59 @@ std::vector<NodeId> nodes(std::size_t n) {
   return out;
 }
 
-// Echo server: replies to MajRead with a MajReadReply.
+// Echo server: replies to MajRead with a MajReadReply carrying its own
+// node id as the value, at one fixed clock.
 class Echo final : public sim::Actor {
  public:
   void on_message(const sim::Envelope& env) override {
     ++requests;
     if (std::holds_alternative<msg::MajRead>(env.body)) {
-      world().reply(id(), env, msg::MajReadReply{ObjectId(1), "v", {1, 1}});
+      world().reply(id(), env,
+                    msg::MajReadReply{ObjectId(1),
+                                      "n" + std::to_string(id().value()),
+                                      {1, 1}});
     }
   }
   int requests = 0;
 };
 
-// Host actor for the engine under test.
+// Host actor for the engine (or register client) under test.
 class Caller final : public sim::Actor {
  public:
   void on_message(const sim::Envelope& env) override {
-    if (engine) engine->on_reply(env);
+    if (client != nullptr) {
+      client->on_message(env);
+    } else if (engine != nullptr) {
+      engine->on_reply(env);
+    }
   }
   QrpcEngine* engine = nullptr;
+  ServiceClient* client = nullptr;
+};
+
+// A register over MajRead that records the value of every reply it folds.
+class RecordingRegister final : public RegisterClient {
+ public:
+  RecordingRegister(sim::World& world, NodeId self,
+                    const quorum::QuorumSystem& system, QrpcOptions opts)
+      : RegisterClient(world, self, opts), system_(system) {}
+
+  void read(ObjectId o, ReadCallback done) override {
+    read_latest(
+        system_, msg::MajRead{o},
+        [this](const msg::Payload& p) {
+          const auto* r = std::get_if<msg::MajReadReply>(&p);
+          if (r != nullptr) folded.push_back(r->value);
+          return r;
+        },
+        std::move(done));
+  }
+  void write(ObjectId, Value, WriteCallback) override {}
+
+  std::vector<Value> folded;
+
+ private:
+  const quorum::QuorumSystem& system_;
 };
 
 class QrpcTest : public ::testing::Test {
@@ -172,7 +210,7 @@ TEST_F(QrpcTest, NullBuildSkipsNodes) {
 
 TEST_F(QrpcTest, DoneAlreadyTrueCompletesWithoutSending) {
   bool completed = false;
-  engine->call_until(
+  const CallId id = engine->call_until(
       *system, Kind::kRead,
       [](NodeId) -> std::optional<msg::Payload> {
         ADD_FAILURE() << "must not send when done() holds at start";
@@ -181,7 +219,37 @@ TEST_F(QrpcTest, DoneAlreadyTrueCompletesWithoutSending) {
       [](NodeId, const msg::Payload&) {}, [] { return true; },
       [&](bool ok) { completed = ok; });
   EXPECT_TRUE(completed);
-  EXPECT_EQ(world->message_stats().total(), 0u);
+  EXPECT_EQ(id, 0u);  // completed before returning: no live call to record
+  EXPECT_EQ(engine->inflight(), 0u);
+  EXPECT_EQ(world->metrics().counter("net.sent").value(), 0u);
+}
+
+TEST_F(QrpcTest, ReadLatestKeepsLaterEqualClockReplyAndBestOnFailure) {
+  // Only two of five nodes answer, so no majority forms and the read fails
+  // at its deadline.  Both replies carry the same clock: the later one is
+  // the result, and the failure still hands it over.
+  world->set_up(NodeId(2), false);
+  world->set_up(NodeId(3), false);
+  world->set_up(NodeId(4), false);
+  QrpcOptions opts;
+  opts.deadline = sim::seconds(3);
+  RecordingRegister reg(*world, NodeId(kServers), *system, opts);
+  caller.client = &reg;
+  bool completed = false, ok_result = true;
+  VersionedValue got;
+  reg.read(ObjectId(1), [&](bool ok, VersionedValue vv) {
+    completed = true;
+    ok_result = ok;
+    got = std::move(vv);
+  });
+  world->run_for(sim::seconds(10));
+  caller.client = nullptr;
+  ASSERT_TRUE(completed);
+  EXPECT_FALSE(ok_result);
+  ASSERT_EQ(reg.folded.size(), 2u);  // one reply from each live node
+  EXPECT_NE(reg.folded[0], reg.folded[1]);
+  EXPECT_EQ(got.value, reg.folded[1]);
+  EXPECT_EQ(got.clock, (LogicalClock{1, 1}));
 }
 
 TEST_F(QrpcTest, PokeCompletesCallOnExternalStateChange) {

@@ -158,16 +158,15 @@ TEST_F(WorldTest, MessageStatsCountByType) {
   w.send(NodeId(0), NodeId(1), RequestId(1), msg::DqRead{ObjectId(1)});
   w.send(NodeId(0), NodeId(1), RequestId(2), msg::DqInval{ObjectId(1), {}});
   w.send(NodeId(0), NodeId(2), RequestId(3), msg::DqInval{ObjectId(1), {}});
-  EXPECT_EQ(w.message_stats().total(), 3u);
+  EXPECT_EQ(w.metrics().counter("net.sent").value(), 3u);
   EXPECT_EQ(w.message_stats().by_type("DqRead"), 1u);
   EXPECT_EQ(w.message_stats().by_type("DqInval"), 2u);
-  EXPECT_EQ(w.message_stats().server_to_server(), 2u);  // invals only
 }
 
 TEST_F(WorldTest, DroppedCounterTracksUnreachableAndLost) {
   w.set_up(NodeId(1), false);
   w.send(NodeId(0), NodeId(1), RequestId(1), msg::DqRead{ObjectId(1)});
-  EXPECT_EQ(w.dropped_messages(), 1u);
+  EXPECT_EQ(w.metrics().counter("net.dropped").value(), 1u);
 }
 
 TEST_F(WorldTest, SameSeedSameDeliverySchedule) {

@@ -137,6 +137,22 @@ def check_report(doc, where, *, dqvl=False):
     for name, hist in met["histograms"].items():
         check_summary(hist, f"{where}.metrics.histograms.{name}")
 
+    # Each message is counted once, by the registry's net.* counters; the
+    # messages section is rendered from them plus the per-type split, so
+    # every view of the totals must agree.
+    ctr = met["counters"]
+    link_msgs = sum(v for k, v in ctr.items() if k.startswith("net.msgs."))
+    link_bytes = sum(v for k, v in ctr.items() if k.startswith("net.bytes."))
+    by_type = sum(msgs["by_type"].values())
+    expect(msgs["total"] == by_type == ctr.get("net.sent") == link_msgs,
+           f"{where}: messages.total={msgs['total']}, sum(by_type)={by_type}, "
+           f"net.sent={ctr.get('net.sent')}, sum(net.msgs.*)={link_msgs} "
+           "disagree")
+    expect(msgs["bytes"] == ctr.get("net.bytes") == link_bytes,
+           f"{where}: messages.bytes={msgs['bytes']}, "
+           f"net.bytes={ctr.get('net.bytes')}, sum(net.bytes.*)={link_bytes} "
+           "disagree")
+
     expect(isinstance(doc["sim_duration_ms"], (int, float)),
            f"{where}.sim_duration_ms: not a number")
     expect(isinstance(doc["violations"], int) and doc["violations"] >= 0,
