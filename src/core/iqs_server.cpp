@@ -205,12 +205,8 @@ void IqsServer::on_recover() {
   }
   m_recoveries_->inc();
   m_h_recovery_ms_->observe(sim::to_ms(world_.now() - crashed_at_));
-  if (world_.tracing()) {
-    world_.trace(self_, "recovery",
-                 "replayed " + std::to_string(wal_->durable_records()) +
-                     " records, " + std::to_string(leases_.size()) +
-                     " epochs bumped");
-  }
+  world_.trace(self_, sim::TraceKind::kRecovery, {},
+               wal_->durable_records(), leases_.size());
 }
 
 void IqsServer::reserve_clock() {
@@ -347,11 +343,7 @@ bool IqsServer::node_safe(NodeId j, ObjectId o, LogicalClock lc) {
     auto& slot = ls.delayed[o];
     slot = std::max(slot, os.last_write);
     if (ls.delayed.size() != before) m_delayed_depth_->add(+1);
-    if (world_.tracing()) {
-      world_.trace(self_, "lease",
-                   "delayed inval for n" + std::to_string(j.value()) +
-                       " obj " + std::to_string(o.value()));
-    }
+    world_.trace(self_, sim::TraceKind::kDelayedInval, j, o.value());
     maybe_gc_epoch(v, j);
     return true;
   }
@@ -414,13 +406,10 @@ void IqsServer::start_or_extend_ensure(ObjectId o) {
         opts.deadline = sim::kTimeInfinity;
         return opts;
       }());
-  if (world_.tracing()) {
-    world_.trace(self_, "write", id == 0
-                                     ? "write-suppress obj " +
-                                           std::to_string(o.value())
-                                     : "write-through obj " +
-                                           std::to_string(o.value()));
-  }
+  world_.trace(self_,
+               id == 0 ? sim::TraceKind::kWriteSuppress
+                       : sim::TraceKind::kWriteThrough,
+               {}, o.value());
   if (id != 0) ensures_[o].call = id;
 }
 
@@ -530,12 +519,8 @@ msg::DqVolRenewReply IqsServer::grant_lease(NodeId j, VolumeId v,
     ls.expiry_timer = world_.set_timer_local(
         self_, ls.expires, [this, v] { poke_volume(v); });
   }
-  if (world_.tracing()) {
-    world_.trace(self_, "lease",
-                 "grant vol " + std::to_string(v.value()) + " to n" +
-                     std::to_string(j.value()) + " (" +
-                     std::to_string(r.delayed.size()) + " delayed)");
-  }
+  world_.trace(self_, sim::TraceKind::kLeaseGrant, j, v.value(),
+               r.delayed.size());
   return r;
 }
 
@@ -551,12 +536,7 @@ void IqsServer::advance_epoch(VolumeId v, NodeId j, LeaseState& ls) {
   // the line above; this helper is the only place an epoch counter moves.
   ++ls.epoch;
   m_epoch_bumps_->inc();
-  if (world_.tracing()) {
-    world_.trace(self_, "lease",
-                 "epoch bump for n" + std::to_string(j.value()) + " vol " +
-                     std::to_string(v.value()) + " -> " +
-                     std::to_string(ls.epoch));
-  }
+  world_.trace(self_, sim::TraceKind::kEpochBump, j, v.value(), ls.epoch);
 }
 
 void IqsServer::maybe_gc_epoch(VolumeId v, NodeId j) {

@@ -141,18 +141,12 @@ void OqsServer::handle_read(const sim::Envelope& env, const msg::DqRead& m) {
   m_load_->inc();
   PendingRead pr{env.src, env.rpc_id, m.object, 0, world_.now()};
   if (condition_c(m.object)) {
-    if (world_.tracing()) {
-      world_.trace(self_, "read",
-                   "hit obj " + std::to_string(m.object.value()));
-    }
+    world_.trace(self_, sim::TraceKind::kReadHit, {}, m.object.value());
     m_hits_->inc();
     reply_to_read(pr);  // read hit: answer from cache, no IQS traffic
     return;
   }
-  if (world_.tracing()) {
-    world_.trace(self_, "read",
-                 "miss obj " + std::to_string(m.object.value()));
-  }
+  world_.trace(self_, sim::TraceKind::kReadMiss, {}, m.object.value());
   m_misses_->inc();
   const std::uint64_t key = next_pending_++;
   pending_.emplace(key, pr);
@@ -220,8 +214,8 @@ void OqsServer::finish_read(std::uint64_t key, bool ok) {
 }
 
 void OqsServer::poke_pending() {
-  // State changed (renewal reply or invalidation): any pending read's
-  // condition C may have flipped.  Engine pokes re-evaluate `done`.
+  // A renewal reply arrived: any pending read's condition C may have
+  // become true.  Engine pokes re-evaluate `done`.
   std::vector<rpc::CallId> calls;
   calls.reserve(pending_.size());
   for (const auto& [k, pr] : pending_) {
@@ -302,7 +296,8 @@ void OqsServer::handle_inval(const sim::Envelope& env, const msg::DqInval& m) {
   m_invals_->inc();
   apply_invalidation(env.src, m.object, m.clock);
   world_.reply(self_, env, msg::DqInvalAck{m.object, m.clock});
-  poke_pending();
+  // No poke_pending(): an invalidation only clears valid, so it cannot make
+  // condition C true for a read that was already pending.
 }
 
 // ---------------------------------------------------------------------------

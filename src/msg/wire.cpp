@@ -96,12 +96,6 @@ struct NameOf {
   const char* operator()(const DynRepair&) const { return "DynRepair"; }
 };
 
-}  // namespace
-
-const char* payload_name(const Payload& p) { return std::visit(NameOf{}, p); }
-
-namespace {
-
 template <std::size_t... I>
 std::array<const char*, sizeof...(I)> make_type_names(
     std::index_sequence<I...>) {

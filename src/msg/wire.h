@@ -445,12 +445,9 @@ using Payload = std::variant<
   return std::variant_size_v<Payload>;
 }
 
-// Human-readable name of the payload's alternative, for stats and tracing.
-[[nodiscard]] const char* payload_name(const Payload& p);
-
-// Name of alternative `index` (== payload_name of a payload whose index()
-// is `index`).  Lets hot-path counters key by index and translate to the
-// human-readable name only at report time.
+// Human-readable name of alternative `index` (a payload's index()).  Lets
+// hot-path counters and trace records key by index and translate to the
+// name only at report time.
 [[nodiscard]] const char* payload_type_name(std::size_t index);
 
 // Approximate serialized size in bytes: a fixed per-message header plus the

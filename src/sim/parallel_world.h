@@ -110,7 +110,7 @@ struct PartitionState {
   std::unique_ptr<Scheduler> sched;
   Rng rng{0};
   MessageStats stats;
-  Tracer tracer;
+  std::vector<TraceEvent> traces;  // folded into World::tracer()
   std::uint64_t next_rpc_id = 0;  // low bits of this partition's rpc ids
   std::uint64_t send_seq = 0;     // feeds Mail::seq
   std::size_t executed_in_round = 0;

@@ -29,7 +29,6 @@ World::World(Topology topology, std::uint64_t seed, Parallelism parallel)
     // streams derived from the trial seed.  Either way the derivation
     // depends only on (seed, partition), never on threads.
     st->rng = plan_.count == 1 ? Rng(seed) : seeder.split();
-    st->tracer.enable(true);  // world.trace() gates on the main tracer
     st->outbox.resize(plan_.count);
     parts_.push_back(std::move(st));
   }
@@ -95,12 +94,8 @@ void World::send_tagged(NodeId src, NodeId dst, RequestId rpc_id,
   const auto link_idx = static_cast<std::size_t>(link);
   m_link_msgs_[link_idx]->inc();
   m_link_bytes_[link_idx]->inc(size);
-  if (tracer_.enabled()) {
-    st.tracer.emit(now(), src, "net",
-                   std::string(is_reply ? "reply " : "send ") +
-                       msg::payload_name(body) + " -> n" +
-                       std::to_string(dst.value()));
-  }
+  trace(src, is_reply ? TraceKind::kNetReply : TraceKind::kNetSend, dst,
+        body.index());
   if (!faults_.reachable(src, dst)) {
     m_dropped_->inc();
     return;
@@ -168,33 +163,20 @@ void World::deliver(Envelope& env) {
 }
 
 void World::fold_traces() {
-  bool any = false;
-  for (auto& p : parts_) any = any || !p->tracer.events().empty();
-  if (!any) return;
   // Deterministic interleave: by time, then partition index, then emission
   // order within the partition.  (Cross-partition trace order is a property
-  // of the partition plan, not of thread count.)
-  struct Item {
-    const TraceEvent* ev;
-    std::uint32_t part;
-    std::size_t pos;
-  };
-  std::vector<Item> items;
+  // of the partition plan, not of thread count.)  The sort is stable and
+  // partitions are appended in index order, so ties keep (partition,
+  // emission) order.
+  std::vector<TraceEvent> merged;
   for (auto& p : parts_) {
-    const auto& evs = p->tracer.events();
-    for (std::size_t i = 0; i < evs.size(); ++i) {
-      items.push_back({&evs[i], p->index, i});
-    }
+    merged.insert(merged.end(), p->traces.begin(), p->traces.end());
+    p->traces.clear();
   }
-  std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
-    if (a.ev->at != b.ev->at) return a.ev->at < b.ev->at;
-    if (a.part != b.part) return a.part < b.part;
-    return a.pos < b.pos;
-  });
-  for (const Item& it : items) {
-    tracer_.emit(it.ev->at, it.ev->node, it.ev->category, it.ev->detail);
-  }
-  for (auto& p : parts_) p->tracer.clear();
+  std::stable_sort(
+      merged.begin(), merged.end(),
+      [](const TraceEvent& a, const TraceEvent& b) { return a.at < b.at; });
+  for (const TraceEvent& e : merged) tracer_.emit(e);
 }
 
 void World::crash(NodeId node) {
@@ -202,7 +184,7 @@ void World::crash(NodeId node) {
                "crash() may not run inside a partition step");
   const auto idx = node.value();
   if (crashed_.at(idx)) return;
-  trace(node, "fault", "crash");
+  trace(node, TraceKind::kFaultCrash);
   crashed_.at(idx) = true;
   ++incarnation_.at(idx);  // poisons all pending timers
   Actor* a = actors_.at(idx);
@@ -214,7 +196,7 @@ void World::restart(NodeId node) {
                "restart() may not run inside a partition step");
   const auto idx = node.value();
   if (!crashed_.at(idx)) return;
-  trace(node, "fault", "restart");
+  trace(node, TraceKind::kFaultRestart);
   crashed_.at(idx) = false;
   Actor* a = actors_.at(idx);
   if (a != nullptr) a->on_recover();

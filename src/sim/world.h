@@ -185,12 +185,11 @@ class World {
     fold_traces();
     return tracer_;
   }
-  [[nodiscard]] bool tracing() const { return tracer_.enabled(); }
-  // Emit a protocol event at `node` (no-op unless tracing is enabled).
-  void trace(NodeId node, std::string category, std::string detail) {
+  // Record a protocol event at `node` (no-op unless tracing is enabled).
+  void trace(NodeId node, TraceKind kind, NodeId peer = {},
+             std::uint64_t a = 0, std::uint64_t b = 0) {
     if (!tracer_.enabled()) return;
-    active_state().tracer.emit(now(), node, std::move(category),
-                               std::move(detail));
+    active_state().traces.push_back({now(), node, kind, peer, a, b});
   }
 
   // --- failure injection ---------------------------------------------------

@@ -134,7 +134,7 @@ void flow_rules(const std::vector<ParsedFile>& files,
   }
 
   // --- flow-wire-stub: every alternative needs both wire.cpp visitors
-  // (payload_name's NameOf and approximate_size's SizeOf), i.e. >= 2
+  // (payload_type_name's NameOf and approximate_size's SizeOf), i.e. >= 2
   // `operator()(const T&)` overloads.
   if (impl != nullptr) {
     std::map<std::string, int> overloads;

@@ -168,7 +168,7 @@ const std::vector<RuleInfo>& rules() {
        {}},
       {kRuleFlowWireStub,
        "Payload alternative without both wire.cpp visitor overloads "
-       "(payload_name's NameOf and approximate_size's SizeOf): every "
+       "(payload_type_name's NameOf and approximate_size's SizeOf): every "
        "message type must carry its name and size accounting",
        {"src/msg/"},
        {},
